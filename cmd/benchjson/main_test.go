@@ -146,16 +146,26 @@ func TestCheckAllocsMissingBenchmark(t *testing.T) {
 	}
 }
 
-func TestCheckAllocsIgnoresNonZeroBaselines(t *testing.T) {
-	// A benchmark that already allocated in the baseline is not pinned;
-	// only 0-alloc paths gate.
-	baseline := []Result{allocResult("p", "BenchmarkOther-8", 3)}
-	current := []Result{allocResult("p", "BenchmarkOther-8", 9)}
-	if _, err := CheckAllocs(baseline, current); err != nil {
-		t.Fatalf("CheckAllocs: %v", err)
+func TestCheckAllocsGatesNonZeroBaselines(t *testing.T) {
+	// A benchmark that allocates a fixed amount per op is pinned at that
+	// count: more fails, equal or fewer passes.
+	baseline := []Result{allocResult("p", "BenchmarkKademliaClosest-8", 1)}
+	_, err := CheckAllocs(baseline, []Result{allocResult("p", "BenchmarkKademliaClosest-2", 4)})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkKademliaClosest: allocs/op regressed from 1 to 4") {
+		t.Fatalf("err = %v, want regression from 1 to 4", err)
 	}
-	// Likewise a baseline entry without memory data pins no alloc count —
-	// but every baseline entry, pinned or not, must still be measured.
+	for _, allocs := range []int64{0, 1} {
+		if _, err := CheckAllocs(baseline, []Result{allocResult("p", "BenchmarkKademliaClosest-2", allocs)}); err != nil {
+			t.Fatalf("%d allocs/op against a pin of 1: %v", allocs, err)
+		}
+	}
+	// A nonzero pin also needs -benchmem data to be checked.
+	_, err = CheckAllocs(baseline, []Result{{Pkg: "p", Name: "BenchmarkKademliaClosest-2", Iters: 1, NsPerOp: 1}})
+	if err == nil || !strings.Contains(err.Error(), "lack allocs/op") {
+		t.Fatalf("err = %v, want missing -benchmem failure", err)
+	}
+	// A baseline entry without memory data pins no alloc count — but
+	// every baseline entry, pinned or not, must still be measured.
 	noMem := []Result{{Pkg: "p", Name: "BenchmarkX-8", Iters: 1, NsPerOp: 1}}
 	if _, err := CheckAllocs(noMem, noMem); err != nil {
 		t.Fatalf("CheckAllocs: %v", err)
@@ -163,8 +173,8 @@ func TestCheckAllocsIgnoresNonZeroBaselines(t *testing.T) {
 }
 
 func TestCheckAllocsMissingUnpinnedBenchmark(t *testing.T) {
-	// Disappearing from the measured set fails even for baseline entries
-	// that are not 0-alloc pinned: a renamed or filtered-out benchmark
+	// Disappearing from the measured set fails for every baseline entry,
+	// with or without an alloc pin: a renamed or filtered-out benchmark
 	// must not silently shrink the gate.
 	baseline := []Result{allocResult("p", "BenchmarkOther-8", 3)}
 	_, err := CheckAllocs(baseline, []Result{allocResult("p", "BenchmarkElse-8", 0)})
@@ -194,6 +204,14 @@ func TestRunCheckAllocsEndToEnd(t *testing.T) {
 	err := run(strings.NewReader(leaky), "", base)
 	if err == nil || !strings.Contains(err.Error(), "allocation regression") {
 		t.Fatalf("err = %v, want allocation-regression failure", err)
+	}
+	// So does one more allocation on a path pinned at 1 allocs/op.
+	leaky = strings.Replace(sample,
+		"50000	     31000 ns/op	      16 B/op	       1 allocs/op",
+		"50000	     31000 ns/op	      32 B/op	       2 allocs/op", 1)
+	err = run(strings.NewReader(leaky), "", base)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkTransportBroadcast: allocs/op regressed from 1 to 2") {
+		t.Fatalf("err = %v, want allocation-regression failure on the nonzero pin", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
+	"sort"
 
 	"repro/internal/sim"
 )
@@ -95,9 +96,39 @@ func CommonPrefixLen(a, b ID) int {
 }
 
 // CloserXOR reports whether a is strictly closer to target than b under the
-// XOR metric.
+// XOR metric. It is a.XOR(target).Cmp(b.XOR(target)) < 0 without building
+// either distance: the first byte where a and b differ decides.
 func CloserXOR(target, a, b ID) bool {
-	return a.XOR(target).Cmp(b.XOR(target)) < 0
+	for i := range a {
+		if da, db := a[i]^target[i], b[i]^target[i]; da != db {
+			return da < db
+		}
+	}
+	return false
+}
+
+// InsertClosest inserts x into buf, which holds at most n entries sorted by
+// the XOR distance of their id to target, and returns the updated buffer:
+// x goes to its binary-search position, the farthest entry drops out when
+// buf was full, and x is discarded if it would land past position n. The id
+// of x must differ from every id in buf. Distinct ids have distinct
+// distances, so passing an input through InsertClosest one entry at a time
+// selects exactly the n entries a full sort would keep, in O(S log n)
+// comparisons, and a buffer made with capacity n is never reallocated.
+// Hot loops first test x against the farthest entry of a full buffer with
+// CloserXOR, which inlines and rejects most inputs in one comparison.
+func InsertClosest[T any](buf []T, x T, id func(T) ID, target ID, n int) []T {
+	xid := id(x)
+	i := sort.Search(len(buf), func(j int) bool { return CloserXOR(target, xid, id(buf[j])) })
+	if i >= n {
+		return buf
+	}
+	if len(buf) < n {
+		buf = append(buf, x)
+	}
+	copy(buf[i+1:], buf[i:])
+	buf[i] = x
+	return buf
 }
 
 // Ring64 maps the identifier onto a 64-bit ring position (used by the Chord

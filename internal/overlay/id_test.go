@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -180,5 +181,56 @@ func TestStringForms(t *testing.T) {
 	}
 	if len(id.Hex()) != 40 {
 		t.Fatalf("hex form length = %d, want 40", len(id.Hex()))
+	}
+}
+
+// Property: CloserXOR agrees with comparing the materialized distances.
+func TestPropertyCloserXORMatchesDistance(t *testing.T) {
+	f := func(tb, ab, bb [IDBytes]byte, shared uint8) bool {
+		target, a, b := ID(tb), ID(ab), ID(bb)
+		// Share a prefix so later bytes decide, not only the first.
+		copy(b[:int(shared)%(IDBytes+1)], a[:])
+		return CloserXOR(target, a, b) == (a.XOR(target).Cmp(b.XOR(target)) < 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: walking distinct ids through InsertClosest yields exactly the n
+// closest of them in XOR order, in a buffer that never outgrows n.
+func TestPropertyInsertClosestSelects(t *testing.T) {
+	self := func(id ID) ID { return id }
+	f := func(tb [IDBytes]byte, raw [][IDBytes]byte, n8 uint8) bool {
+		target, n := ID(tb), int(n8%24)+1
+		seen := make(map[ID]bool)
+		var all []ID
+		buf := make([]ID, 0, n)
+		for _, r := range raw {
+			id := ID(r)
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			all = append(all, id)
+			buf = InsertClosest(buf, id, self, target, n)
+			if len(buf) > n || cap(buf) != n {
+				return false
+			}
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].XOR(target).Cmp(all[j].XOR(target)) < 0 })
+		all = all[:min(n, len(all))]
+		if len(buf) != len(all) {
+			return false
+		}
+		for i := range all {
+			if buf[i] != all[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

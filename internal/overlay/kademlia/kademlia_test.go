@@ -70,25 +70,48 @@ func TestTableRemove(t *testing.T) {
 	tab.Remove(c.ID) // removing absent contact is a no-op
 }
 
+// TestTableClosestOrdering checks Closest against a full sort of the table
+// by XOR distance, across table sizes, widths and targets that start the
+// bucket walk at every kind of class.
 func TestTableClosestOrdering(t *testing.T) {
-	g := sim.NewRNG(3)
-	self := overlay.RandomID(g)
-	tab := NewTable(self, 20)
-	for i := 0; i < 50; i++ {
-		tab.Add(Contact{ID: overlay.RandomID(g), Addr: netmodel.NodeID(i)})
-	}
-	target := overlay.RandomID(g)
-	got := tab.Closest(target, 10)
-	if len(got) != 10 {
-		t.Fatalf("Closest returned %d, want 10", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if overlay.CloserXOR(target, got[i].ID, got[i-1].ID) {
-			t.Fatal("Closest not sorted by XOR distance")
+	g := sim.NewRNG(31)
+	for _, size := range []int{0, 1, 7, 50, 400} {
+		self := overlay.RandomID(g)
+		tab := NewTable(self, 20)
+		for i := 0; i < size; i++ {
+			tab.Add(Contact{ID: overlay.RandomID(g), Addr: netmodel.NodeID(i)})
 		}
-	}
-	if tab.Closest(target, 0) != nil {
-		t.Fatal("Closest(0) should be nil")
+		all := tab.Contacts()
+		for _, n := range []int{1, 2, tab.K(), tab.Size(), tab.Size() + 5} {
+			if n <= 0 {
+				continue
+			}
+			for trial := 0; trial < 10; trial++ {
+				target := overlay.RandomID(g)
+				switch {
+				case trial == 0 && len(all) > 0:
+					target = all[0].ID // a stored contact is its own closest
+				case trial == 1:
+					target = self // every bucket is a shallower class
+				case trial == 2:
+					target = self
+					target[2] ^= 0x10 // bucket 19's class first, then deeper, then shallower
+				}
+				got := tab.Closest(target, n)
+				want := sortedContacts(target, all, n)
+				if !equalContacts(got, want) {
+					t.Fatalf("size %d n %d: Closest = %v, full sort = %v", size, n, got, want)
+				}
+				if cap(got) > n {
+					t.Fatalf("size %d n %d: result capacity %d exceeds n", size, n, cap(got))
+				}
+			}
+		}
+		for _, n := range []int{0, -1} {
+			if got := tab.Closest(overlay.RandomID(g), n); got != nil {
+				t.Fatalf("size %d: Closest(n=%d) = %v, want nil", size, n, got)
+			}
+		}
 	}
 }
 

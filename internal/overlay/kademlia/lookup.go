@@ -1,7 +1,7 @@
 package kademlia
 
 import (
-	"sort"
+	"math"
 	"time"
 
 	"repro/internal/overlay"
@@ -82,11 +82,12 @@ func (l *lookup) add(c Contact) {
 		return
 	}
 	l.seen[c.ID] = true
-	l.cands = append(l.cands, &candidate{contact: c, state: statePending})
-	sort.Slice(l.cands, func(i, j int) bool {
-		return overlay.CloserXOR(l.target, l.cands[i].contact.ID, l.cands[j].contact.ID)
-	})
+	// Unbounded insertion: every candidate is kept, sorted by distance.
+	l.cands = overlay.InsertClosest(l.cands, &candidate{contact: c, state: statePending},
+		candidateID, l.target, math.MaxInt)
 }
+
+func candidateID(c *candidate) overlay.ID { return c.contact.ID }
 
 // converged reports whether the K closest non-failed candidates have all
 // responded — Kademlia's termination condition.

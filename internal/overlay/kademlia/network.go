@@ -281,6 +281,9 @@ func (nw *Network) Bootstrap() error {
 	// neighbours.
 	sort.Slice(order, func(i, j int) bool { return order[i].ID.Cmp(order[j].ID) < 0 })
 	window := 4 * nw.cfg.K
+	// One buffer, reused for every node, collects the K XOR-closest
+	// contacts of the node's window; Table.Add copies what it keeps.
+	neigh := make([]Contact, 0, nw.cfg.K)
 	for i, node := range order {
 		lo := i - window/2
 		if lo < 0 {
@@ -294,18 +297,18 @@ func (nw *Network) Bootstrap() error {
 				lo = 0
 			}
 		}
-		neigh := make([]Contact, 0, hi-lo)
+		neigh = neigh[:0]
 		for j := lo; j < hi; j++ {
 			if j == i {
 				continue
 			}
-			neigh = append(neigh, Contact{ID: order[j].ID, Addr: order[j].Addr})
+			if len(neigh) < nw.cfg.K || overlay.CloserXOR(node.ID, order[j].ID, neigh[nw.cfg.K-1].ID) {
+				neigh = overlay.InsertClosest(neigh, Contact{ID: order[j].ID, Addr: order[j].Addr},
+					contactID, node.ID, nw.cfg.K)
+			}
 		}
-		sort.Slice(neigh, func(a, b int) bool {
-			return overlay.CloserXOR(node.ID, neigh[a].ID, neigh[b].ID)
-		})
-		for j := 0; j < len(neigh) && j < nw.cfg.K; j++ {
-			node.table.Add(neigh[j])
+		for _, c := range neigh {
+			node.table.Add(c)
 		}
 		// Distant contacts: random online nodes fill the short-prefix
 		// buckets that carry most routing progress.
@@ -323,6 +326,9 @@ func (nw *Network) Bootstrap() error {
 // exist. It models the centralized bootstrap servers every deployed DHT
 // relies on.
 func (nw *Network) RandomOnlineNode() *Node {
+	if len(nw.nodes) == 0 {
+		return nil
+	}
 	for attempts := 0; attempts < 64; attempts++ {
 		n := nw.nodes[nw.rng.Intn(len(nw.nodes))]
 		if n.online {
@@ -359,22 +365,28 @@ func (nw *Network) Rejoin(n *Node, done func()) {
 }
 
 // ClosestOnline returns the k online, responsive, honest nodes closest to
-// target — the ground truth a successful lookup should discover.
+// target — the ground truth a successful lookup should discover — sorted by
+// XOR distance, or nil when k <= 0. It is one pass over the nodes with
+// binary insertion into a buffer of at most k (overlay.InsertClosest),
+// O(N log k) for N nodes; honest node IDs are distinct, so no two distances
+// tie. The result has capacity at most k.
 func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
-	cands := make([]*Node, 0, len(nw.nodes))
+	if k <= 0 {
+		return nil
+	}
+	out := make([]*Node, 0, min(k, len(nw.nodes)))
 	for _, n := range nw.nodes {
-		if n.online && n.responsive && !n.malicious {
-			cands = append(cands, n)
+		if !n.online || !n.responsive || n.malicious {
+			continue
+		}
+		if len(out) < k || overlay.CloserXOR(target, n.ID, out[k-1].ID) {
+			out = overlay.InsertClosest(out, n, nodeID, target, k)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		return overlay.CloserXOR(target, cands[i].ID, cands[j].ID)
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
+	return out
 }
+
+func nodeID(n *Node) overlay.ID { return n.ID }
 
 // findNode issues one FIND_NODE RPC and invokes onDone exactly once with
 // either the contacts from the reply or ok=false on timeout/drop.

@@ -11,8 +11,6 @@
 package kademlia
 
 import (
-	"sort"
-
 	"repro/internal/netmodel"
 	"repro/internal/overlay"
 )
@@ -106,23 +104,50 @@ func (t *Table) Size() int {
 	return n
 }
 
-// Closest returns up to n contacts sorted by XOR distance to target.
+// Closest returns up to n contacts sorted by XOR distance to target, or nil
+// when n <= 0. It keeps the n closest contacts seen so far by binary
+// insertion (overlay.InsertClosest), rejecting most contacts with one
+// comparison against the current farthest, and visits buckets in distance
+// order so it can stop early: usually it reads one bucket, and at worst the
+// table once, O(S log n) for S contacts. Contact IDs are unique within a
+// table, so no two distances tie and the order is fully determined. The
+// result has capacity at most n.
 func (t *Table) Closest(target overlay.ID, n int) []Contact {
 	if n <= 0 {
 		return nil
 	}
-	all := make([]Contact, 0, t.Size())
-	for _, b := range t.buckets {
-		all = append(all, b...)
+	out := make([]Contact, 0, min(n, t.Size()))
+	// With j the common prefix length of the owner and target, a contact in
+	// bucket j shares more than j leading bits with target, one in any
+	// deeper bucket exactly j, and one in a shallower bucket i < j exactly
+	// i. Visiting bucket j, then the deeper buckets together, then buckets
+	// j-1 down to 0 meets these classes nearest first, so a buffer that is
+	// full at a class boundary is final.
+	j := overlay.CommonPrefixLen(t.self, target)
+	out = t.selectBuckets(out, target, n, j, j+1)
+	if len(out) < n {
+		out = t.selectBuckets(out, target, n, j+1, len(t.buckets))
 	}
-	sort.Slice(all, func(i, j int) bool {
-		return overlay.CloserXOR(target, all[i].ID, all[j].ID)
-	})
-	if len(all) > n {
-		all = all[:n]
+	for i := j - 1; i >= 0 && len(out) < n; i-- {
+		out = t.selectBuckets(out, target, n, i, i+1)
 	}
-	return all
+	return out
 }
+
+// selectBuckets walks buckets [lo, hi) into out, the n closest contacts to
+// target found so far.
+func (t *Table) selectBuckets(out []Contact, target overlay.ID, n, lo, hi int) []Contact {
+	for _, b := range t.buckets[lo:hi] {
+		for _, c := range b {
+			if len(out) < n || overlay.CloserXOR(target, c.ID, out[n-1].ID) {
+				out = overlay.InsertClosest(out, c, contactID, target, n)
+			}
+		}
+	}
+	return out
+}
+
+func contactID(c Contact) overlay.ID { return c.ID }
 
 // Contacts returns a copy of every stored contact (bucket order).
 func (t *Table) Contacts() []Contact {

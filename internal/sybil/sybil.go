@@ -11,7 +11,6 @@ package sybil
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/netmodel"
 	"repro/internal/overlay"
@@ -112,16 +111,17 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 // target, cross-referencing the identity cloud so honest lookups spiral
 // inward and never escape.
 func (a *Attack) poison(target overlay.ID) []kademlia.Contact {
-	out := make([]kademlia.Contact, len(a.contacts))
-	copy(out, a.contacts)
-	sort.Slice(out, func(i, j int) bool {
-		return overlay.CloserXOR(target, out[i].ID, out[j].ID)
-	})
-	if len(out) > 16 {
-		out = out[:16]
+	const width = 16
+	out := make([]kademlia.Contact, 0, min(width, len(a.contacts)))
+	for _, c := range a.contacts {
+		if len(out) < width || overlay.CloserXOR(target, c.ID, out[width-1].ID) {
+			out = overlay.InsertClosest(out, c, contactID, target, width)
+		}
 	}
 	return out
 }
+
+func contactID(c kademlia.Contact) overlay.ID { return c.ID }
 
 // Nodes returns the attacker's nodes.
 func (a *Attack) Nodes() []*kademlia.Node { return a.nodes }

@@ -1,6 +1,7 @@
 package sybil
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -124,5 +125,45 @@ func TestEclipseStatsEmpty(t *testing.T) {
 	var st EclipseStats
 	if st.MajorityRate() != 0 || st.ClosestRate() != 0 || st.MeanAttackerFrac() != 0 {
 		t.Fatal("empty stats must report zeros")
+	}
+}
+
+// TestPoisonMatchesFullSort checks the fabricated replies against a full
+// XOR sort of the identity cloud, for clouds smaller and larger than the
+// reply width and for targeted (near-target) and uniform identities.
+func TestPoisonMatchesFullSort(t *testing.T) {
+	for _, cfg := range []AttackConfig{
+		{Identities: 5},
+		{Identities: 16},
+		{Identities: 300},
+		{Identities: 300, Targeted: true, Target: overlay.KeyID([]byte("victim"))},
+	} {
+		s, nw := honestNetwork(t, 40, 6)
+		atk, err := Launch(s, nw, cfg)
+		if err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+		g := s.Stream("poison-test")
+		for trial := 0; trial < 20; trial++ {
+			target := overlay.RandomID(g)
+			switch trial {
+			case 0:
+				target = atk.contacts[0].ID
+			case 1:
+				target = cfg.Target
+			}
+			want := append([]kademlia.Contact(nil), atk.contacts...)
+			sort.Slice(want, func(i, j int) bool { return overlay.CloserXOR(target, want[i].ID, want[j].ID) })
+			want = want[:min(len(want), 16)]
+			got := atk.poison(target)
+			if len(got) != len(want) || cap(got) > 16 {
+				t.Fatalf("%d identities: poison gave %d contacts (cap %d), want %d", cfg.Identities, len(got), cap(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%d identities: reply %d is %v, full sort has %v", cfg.Identities, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
