@@ -25,6 +25,7 @@ func TestArgumentAudit(t *testing.T) {
 		{"unknown command shows usage", []string{"frobnicate"}, "usage: decentsim"},
 		{"mistyped global flag", []string{"-bogus", "run", "E01"}, "-bogus"},
 		{"mistyped subcommand flag", []string{"run", "-bogus", "E01"}, "-bogus"},
+		{"removed shards flag", []string{"run", "-shards", "4", "E03"}, "-shards"},
 		{"run rejects html", []string{"run", "-html", "E01"}, "-html does not apply"},
 		{"run rejects addr", []string{"run", "-addr", ":0", "E01"}, "-addr does not apply"},
 		{"sweep rejects diff", []string{"sweep", "-diff", "x.json", "E01"}, "-diff does not apply"},

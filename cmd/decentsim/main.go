@@ -9,7 +9,6 @@
 //	decentsim -seed 7 -scale 0.5 run E03
 //	decentsim run -csv E06             # emit tables as CSV
 //	decentsim run -json -parallel 4 all
-//	decentsim run -shards 4 E03        # sharded-kernel runs fan out across 4 workers
 //	decentsim sweep -parallel 8 -json -seeds 1..10 E03 E06
 //	decentsim sweep -seeds 1..5 -set e03.lookups=100,200 E03
 //	decentsim sweep -seeds 1..3 -set e06.shards=16,64,256 -set e06.crossshard=0.1,0.5 E06
@@ -86,7 +85,6 @@ type options struct {
 	resources  bool
 	profile    string
 	traceLimit int
-	shards     int
 
 	html    bool
 	diff    string
@@ -138,7 +136,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.resources, "resources", o.resources, "report: attach run telemetry and render a per-experiment Resources appendix plus resources/host.json")
 	fs.StringVar(&o.profile, "profile", o.profile, "sweep/rep/report: write per-run CPU and heap pprof profiles into this directory")
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, "trace: event buffer limit (default 100000; overflow is counted, not stored)")
-	fs.IntVar(&o.shards, "shards", o.shards, "intra-run worker goroutines for experiments on the sharded kernel (results are byte-identical at any value)")
 	fs.BoolVar(&o.html, "html", o.html, "report: also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html)")
 	fs.StringVar(&o.diff, "diff", o.diff, "report: compare verdicts against this old manifest.json (or soak drift JSON); exits nonzero on verdict flips")
 	fs.StringVar(&o.against, "against", o.against, "report -diff: compare the -diff file against this file instead of generating a report")
@@ -162,7 +159,7 @@ commands:
 run 'decentsim <command> -h' for that command's flags`
 
 func run(args []string, out io.Writer) error {
-	opts := options{seed: 1, scale: 1, reps: 10, out: "report", shards: 1}
+	opts := options{seed: 1, scale: 1, reps: 10, out: "report"}
 	global := flag.NewFlagSet("decentsim", flag.ContinueOnError)
 	opts.register(global)
 	if err := global.Parse(args); err != nil {
@@ -267,7 +264,6 @@ func run(args []string, out io.Writer) error {
 			"drift":       "only the rep subcommand writes drift bounds",
 			"resources":   "only the report subcommand renders the resources appendix",
 			"profile":     "only the sweep, rep, and report subcommands run on the profiled harness",
-			"shards":      "sharded runs do not register the transport instruments a trace records",
 			"html":        "only the report and serve subcommands render HTML pages",
 			"diff":        "only the report subcommand compares manifests",
 			"against":     "only the report subcommand compares manifests",
@@ -308,9 +304,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if (cmd == "run" || cmd == "trace") && opts.seed < 1 {
 		return fmt.Errorf("%s: -seed must be >= 1 (got %d)", cmd, opts.seed)
-	}
-	if provided["shards"] && opts.shards < 1 {
-		return fmt.Errorf("%s: -shards must be >= 1 (got %d)", cmd, opts.shards)
 	}
 	if provided["trace-limit"] && opts.traceLimit < 1 {
 		return fmt.Errorf("trace: -trace-limit must be >= 1 (got %d)", opts.traceLimit)
@@ -402,7 +395,6 @@ func runCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) er
 		Seeds:       []int64{opts.seed},
 		Scales:      []float64{opts.scale},
 		Params:      opts.set.params,
-		Shards:      opts.shards,
 	}
 	// Knob ownership is validated by the same rule sweeps use.
 	if err := grid.Validate(); err != nil {
@@ -519,7 +511,6 @@ func reportCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string)
 		IDs:         ids,
 		Scale:       opts.scale,
 		Workers:     opts.parallel,
-		Shards:      opts.shards,
 		Sensitivity: opts.sensitivity,
 		GridPoints:  opts.gridPoints,
 		Resources:   opts.resources,
@@ -579,7 +570,6 @@ func diffCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) e
 			IDs:     ids,
 			Scale:   opts.scale,
 			Workers: opts.parallel,
-			Shards:  opts.shards,
 		}
 		if opts.seeds != "" {
 			if ropts.Seeds, err = decent.ParseSeeds(opts.seeds); err != nil {
@@ -624,7 +614,6 @@ func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) 
 		IDs:         ids,
 		Scale:       opts.scale,
 		Workers:     opts.parallel,
-		Shards:      opts.shards,
 		Sensitivity: opts.sensitivity,
 		GridPoints:  opts.gridPoints,
 		Resources:   opts.resources,
@@ -764,7 +753,7 @@ func sweepCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string, 
 			return err
 		}
 	}
-	sweep := decent.Sweep{Experiments: ids, Params: opts.set.params, Shards: opts.shards}
+	sweep := decent.Sweep{Experiments: ids, Params: opts.set.params}
 	switch {
 	case opts.seeds != "":
 		if sweep.Seeds, err = decent.ParseSeeds(opts.seeds); err != nil {

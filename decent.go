@@ -38,7 +38,6 @@ package decent
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -51,9 +50,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Kernel — the deterministic discrete-event simulators every experiment
-// runs on: the sequential Sim and the conservatively parallel ShardedSim
-// (byte-identical results at any worker count).
+// Kernel — the deterministic discrete-event simulator. The sharded kernel
+// E03 runs on stays internal.
 // ---------------------------------------------------------------------------
 
 // Sim is the deterministic discrete-event kernel.
@@ -69,34 +67,6 @@ func NewSim(seed int64) *Sim {
 // built on the sim auto-register their instruments.
 func NewObservedSim(seed int64, col *Collector) *Sim {
 	return sim.New(sim.WithSeed(seed), sim.WithObserver(col))
-}
-
-// ShardedSim is the conservatively parallel discrete-event kernel: a
-// fixed set of per-shard Sim queues advancing in lockstep windows bounded
-// by the minimum cross-shard delivery delay; cross-shard messages land
-// through a mailbox merged deterministically at every window barrier, so
-// results are byte-identical at any worker count.
-type ShardedSim = sim.ShardedSim
-
-// ShardedSimOption configures a ShardedSim.
-type ShardedSimOption = sim.ShardedOption
-
-// WithShardSeed, WithShardWorkers, and WithShardObserver are the
-// ShardedSim constructor options: master seed (per-shard streams derive
-// from it), worker goroutine count (an execution knob — results are
-// identical at every value), and telemetry collector.
-var (
-	WithShardSeed     = sim.WithShardSeed
-	WithShardWorkers  = sim.WithShardWorkers
-	WithShardObserver = sim.WithShardObserver
-)
-
-// NewShardedSim builds a sharded kernel with the given shard count and
-// conservative window. The window must not exceed the minimum cross-shard
-// delivery delay of whatever model schedules cross-shard events — for a
-// Transport, TransportDelayFloor computes that bound.
-func NewShardedSim(shards int, window time.Duration, opts ...ShardedSimOption) (*ShardedSim, error) {
-	return sim.NewSharded(shards, window, opts...)
 }
 
 // ---------------------------------------------------------------------------
@@ -123,23 +93,6 @@ var (
 // NewTransport attaches a WAN model to the simulator.
 func NewTransport(s *Sim, opts ...TransportOption) *Transport {
 	return netmodel.New(s, opts...)
-}
-
-// NewShardedTransport attaches a WAN model that spans a sharded kernel:
-// nodes are assigned to shards round-robin, deliveries are scheduled on
-// the receiving node's shard, and RNG draws come from the sender's shard
-// stream. Condition windows and telemetry instruments are not supported
-// on a sharded Transport; see the netmodel package docs.
-func NewShardedTransport(ss *ShardedSim, opts ...TransportOption) *Transport {
-	return netmodel.NewSharded(ss, opts...)
-}
-
-// TransportDelayFloor returns the minimum one-way delivery delay a
-// Transport with the given jitter fraction can draw between the listed
-// regions — the largest safe conservative window for a ShardedSim whose
-// cross-shard traffic rides that Transport.
-func TransportDelayFloor(jitter float64, regions ...Region) time.Duration {
-	return netmodel.DelayFloor(jitter, regions...)
 }
 
 // Region is a coarse geographic location on the Transport.

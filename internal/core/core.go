@@ -30,14 +30,6 @@ type Config struct {
 	// Collectors are per-run state, never part of the configuration
 	// identity, so the field is excluded from marshalled output.
 	Obs *obs.Collector `json:"-"`
-	// Shards is the worker count for experiments driven by a sharded
-	// kernel (internal/sim.ShardedSim): how many goroutines execute the
-	// experiment's fixed logical shards within each conservative window.
-	// Results are identical at every value — the shard-count invisibility
-	// contract (DESIGN.md, "Sharded kernel") — so like Obs it is execution
-	// state, never configuration identity, and is excluded from marshalled
-	// output. 0 and 1 both mean sequential execution.
-	Shards int `json:"-"`
 }
 
 // WithDefaults fills zero fields.
@@ -47,9 +39,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	return c
 }

@@ -38,13 +38,11 @@ func newSimSeed(cfg core.Config, seed int64) *sim.Sim {
 
 // newShardedSim is newSim's counterpart for runners on the sharded kernel:
 // the runner supplies its fixed logical shard structure (count and
-// conservative window, both structural constants derived from the model,
-// never from available parallelism), while the -shards execution knob in
-// the config only sets how many workers drive those shards. Results are
-// identical at every worker count. The transport's shared instruments stay
-// off in sharded mode, but kernel statistics still reach the collector.
+// conservative window, both structural constants derived from the model).
+// The transport's shared instruments stay off in sharded mode, but kernel
+// statistics still reach the collector.
 func newShardedSim(cfg core.Config, shards int, window time.Duration) (*sim.ShardedSim, error) {
-	opts := []sim.ShardedOption{sim.WithShardSeed(cfg.Seed), sim.WithShardWorkers(cfg.Shards)}
+	opts := []sim.ShardedOption{sim.WithShardSeed(cfg.Seed)}
 	if cfg.Obs != nil {
 		opts = append(opts, sim.WithShardObserver(cfg.Obs))
 	}

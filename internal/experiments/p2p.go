@@ -195,9 +195,8 @@ func e02FreeRiding() core.Experiment {
 }
 
 // e03Shards is E03's fixed logical shard count. It is a structural constant
-// of the runner — NOT the -shards knob, which only sets how many workers
-// execute these logical shards — so the run's event structure, and with it
-// every exported byte, is identical at any worker count.
+// of the runner: the per-shard seeds and event order, and with them every
+// exported byte, depend on it.
 const e03Shards = 8
 
 // e03DHTLookup reproduces §II-A (Jiménez et al.): KAD lookups within 5 s at
@@ -244,11 +243,8 @@ func e03DHTLookup() core.Experiment {
 				if err := nw.Bootstrap(); err != nil {
 					return nil, 0, err
 				}
-				// Lookup callbacks fire on the origin's shard, so results
-				// accumulate in shard-owned slots and merge in shard order
-				// after the run — identical at any worker count.
-				var samples [e03Shards]metrics.Sample
-				var converged [e03Shards]int
+				var sample metrics.Sample
+				converged := 0
 				g := ss.Shard(0).Stream("e03." + name)
 				for i := 0; i < lookups; i++ {
 					// Origins must be responsive participants (measurement
@@ -257,26 +253,17 @@ func e03DHTLookup() core.Experiment {
 					for origin == nil || !origin.Responsive() {
 						origin = nw.Nodes()[g.Intn(n)]
 					}
-					shard := nm.ShardOf(origin.Addr)
 					nw.Lookup(origin, overlay.RandomID(g), func(res kademlia.Result) {
-						samples[shard].AddDuration(res.Latency)
+						sample.AddDuration(res.Latency)
 						if res.Converged {
-							converged[shard]++
+							converged++
 						}
 					})
 				}
 				if err := ss.Run(); err != nil {
 					return nil, 0, err
 				}
-				var sample metrics.Sample
-				ok := 0
-				for s := range samples {
-					for _, v := range samples[s].Values() {
-						sample.Add(v)
-					}
-					ok += converged[s]
-				}
-				return &sample, float64(ok) / float64(lookups), nil
+				return &sample, float64(converged) / float64(lookups), nil
 			}
 			kad, kadOK, err := measure(kademlia.KADConfig(), "kad")
 			if err != nil {

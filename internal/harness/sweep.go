@@ -25,11 +25,6 @@ type Sweep struct {
 	// "e03.lookups" -> {100, 200}). Experiments read knobs via
 	// core.Config.Param; unset knobs keep their documented defaults.
 	Params map[string][]float64
-	// Shards is the intra-run worker count threaded into every job's
-	// config. It is an execution knob like the runner's Workers — results
-	// are identical at every value — so it is never crossed into the grid
-	// (sweeping it would emit distinct groups with identical results).
-	Shards int
 }
 
 // Jobs expands the grid into a deterministic job list: experiments
@@ -63,7 +58,6 @@ func (s Sweep) Jobs() []Job {
 							Seed:   seed,
 							Scale:  scale,
 							Params: params,
-							Shards: s.Shards,
 						},
 					})
 				}

@@ -16,7 +16,7 @@ import (
 // also on the determinism-critical spine (the kernel schedule loop and
 // the sharded mailbox/merge path in particular), so map iteration —
 // whose order Go randomizes per run — is flagged as well: a map-order-
-// dependent write there would leak scheduler randomness into results.
+// dependent write there would leak per-run randomness into results.
 var HotPath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "functions annotated //decentlint:hotpath must not allocate: no " +

@@ -98,8 +98,7 @@ type Net struct {
 	// sharded-execution binding (shard.go); nil on sequential nets.
 	sh *sharding
 
-	// traffic accounting. Entries are touched only by the owning node's
-	// shard, so the slices need no synchronization in sharded runs.
+	// traffic accounting, indexed by node.
 	bytesSent  []int64
 	bytesRecvd []int64
 	msgsSent   []int64

@@ -7,9 +7,8 @@ package netmodel
 // delivery is a plain pooled AtFunc on the owner, a cross-shard one rides
 // the driver's mailbox and is merged deterministically at the next window
 // barrier. Randomness splits into per-shard "netmodel" streams — a send
-// draws loss and jitter from its *sender's* stream, on the sender's
-// worker — so draw sequences depend only on per-shard event order, which
-// the driver keeps worker-count invariant.
+// draws loss and jitter from its *sender's* stream — so draw sequences
+// depend only on per-shard event order.
 //
 // The sharded transport is deliberately narrower than the sequential one:
 // condition windows (partition/loss/outage) and the shared delay histogram
@@ -71,7 +70,7 @@ func (n *Net) ShardOf(id NodeID) int {
 // Kernel returns the sim kernel a node's events execute on: the owning
 // shard's kernel in sharded mode, the single kernel otherwise. Substrates
 // riding the sharded transport schedule their per-node control events
-// (timeouts, retries) on it so those events run on the node's worker.
+// (timeouts, retries) on it so those events run on the node's shard.
 func (n *Net) Kernel(id NodeID) *sim.Sim {
 	if n.sh == nil {
 		return n.sim

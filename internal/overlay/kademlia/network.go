@@ -116,20 +116,8 @@ type Network struct {
 	nodes  []*Node
 	byAddr map[netmodel.NodeID]*Node
 
-	// Sequential-mode RPC accounting.
 	rpcs     int64
 	timeouts int64
-	// Sharded-mode accounting: one slot per shard, each written only by
-	// its owning worker, padded apart so the counters never share a cache
-	// line. Summed by RPCs/Timeouts after the run.
-	shRPCs     []paddedCount
-	shTimeouts []paddedCount
-}
-
-// paddedCount keeps per-shard counters on distinct cache lines.
-type paddedCount struct {
-	n int64
-	_ [56]byte
 }
 
 // NewNetwork creates an empty deployment.
@@ -147,22 +135,20 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 // over a sharded net (netmodel.NewSharded on the same driver). A node's
 // RPC timeouts and lookup state live on the shard owning it, request
 // deliveries execute on the receiver's shard, and replies ride back to the
-// origin's — so lookups from origins on different shards proceed
-// concurrently inside conservative windows with no shared mutable state.
+// origin's; every cross-shard step rides the transport's mailbox, so no
+// lookup event touches another shard's kernel inside a conservative window.
 // Setup (AddNode, Bootstrap, issuing Lookups) stays sequential; identity
 // and bootstrap randomness draw from shard 0's "kademlia" stream. Churn
 // helpers that mutate shared topology (SetOnline, Rejoin) are setup-time
 // only on sharded deployments.
 func NewShardedNetwork(ss *sim.ShardedSim, nm *netmodel.Net, cfg Config) *Network {
 	return &Network{
-		sim:        ss.Shard(0),
-		ss:         ss,
-		net:        nm,
-		cfg:        cfg.withDefaults(),
-		rng:        ss.Shard(0).Stream("kademlia"),
-		byAddr:     make(map[netmodel.NodeID]*Node),
-		shRPCs:     make([]paddedCount, ss.ShardCount()),
-		shTimeouts: make([]paddedCount, ss.ShardCount()),
+		sim:    ss.Shard(0),
+		ss:     ss,
+		net:    nm,
+		cfg:    cfg.withDefaults(),
+		rng:    ss.Shard(0).Stream("kademlia"),
+		byAddr: make(map[netmodel.NodeID]*Node),
 	}
 }
 
@@ -175,24 +161,6 @@ func (nw *Network) kern(addr netmodel.NodeID) *sim.Sim {
 	return nw.net.Kernel(addr)
 }
 
-// addRPC and addTimeout bump the accounting slot owned by the origin's
-// shard; sequential deployments keep the plain counters.
-func (nw *Network) addRPC(origin netmodel.NodeID) {
-	if nw.ss == nil {
-		nw.rpcs++
-		return
-	}
-	nw.shRPCs[nw.net.ShardOf(origin)].n++
-}
-
-func (nw *Network) addTimeout(origin netmodel.NodeID) {
-	if nw.ss == nil {
-		nw.timeouts++
-		return
-	}
-	nw.shTimeouts[nw.net.ShardOf(origin)].n++
-}
-
 // Config returns the effective (defaulted) configuration.
 func (nw *Network) Config() Config { return nw.cfg }
 
@@ -201,22 +169,10 @@ func (nw *Network) Config() Config { return nw.cfg }
 func (nw *Network) Nodes() []*Node { return nw.nodes }
 
 // RPCs returns the total FIND_NODE queries sent.
-func (nw *Network) RPCs() int64 {
-	total := nw.rpcs
-	for i := range nw.shRPCs {
-		total += nw.shRPCs[i].n
-	}
-	return total
-}
+func (nw *Network) RPCs() int64 { return nw.rpcs }
 
 // Timeouts returns the total queries that expired without an answer.
-func (nw *Network) Timeouts() int64 {
-	total := nw.timeouts
-	for i := range nw.shTimeouts {
-		total += nw.shTimeouts[i].n
-	}
-	return total
-}
+func (nw *Network) Timeouts() int64 { return nw.timeouts }
 
 // AddNode attaches a new honest node in the given region. Responsiveness is
 // drawn from Config.UnresponsiveFrac.
@@ -391,7 +347,7 @@ func nodeID(n *Node) overlay.ID { return n.ID }
 // findNode issues one FIND_NODE RPC and invokes onDone exactly once with
 // either the contacts from the reply or ok=false on timeout/drop.
 func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone func(contacts []Contact, ok bool)) {
-	nw.addRPC(from.Addr)
+	nw.rpcs++
 	answered := false
 	var timeout sim.Handle
 	// finish runs on the origin's kernel either way: the timeout is
@@ -404,7 +360,7 @@ func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone fu
 		answered = true
 		timeout.Cancel()
 		if !ok {
-			nw.addTimeout(from.Addr)
+			nw.timeouts++
 		}
 		onDone(contacts, ok)
 	}

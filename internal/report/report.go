@@ -44,11 +44,6 @@ type Options struct {
 	// Workers bounds the harness worker pool (<= 0 means GOMAXPROCS).
 	// It has no effect on the generated bytes.
 	Workers int
-	// Shards is the intra-run worker count for experiments on the
-	// sharded kernel (the -shards knob). Like Workers it has no effect
-	// on the generated bytes — the CI determinism gate diffs report
-	// trees across -shards values to enforce exactly that.
-	Shards int
 	// Sensitivity enables the per-knob sensitivity layer: every selected
 	// experiment's registered knobs are swept over a grid, each page
 	// gains metric-vs-knob figures (mean ± 95% CI bands) and a
@@ -270,7 +265,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 		Experiments: make([]string, len(exps)),
 		Seeds:       seeds,
 		Scales:      []float64{scale},
-		Shards:      opts.Shards,
 	}
 	for i, e := range exps {
 		sweep.Experiments[i] = e.ID()

@@ -22,9 +22,6 @@ const maxHeadlines = 4
 // per-experiment stability verdicts derived from them.
 type sensitivity struct {
 	gridPoints int
-	// shards is the intra-run worker count threaded into every grid job;
-	// like the harness worker pool it never affects the generated bytes.
-	shards int
 	// knobs maps experiment id -> its swept knob names, sorted.
 	knobs map[string][]string
 	// grids maps knob name -> swept values (deduplicated, in submission
@@ -91,7 +88,6 @@ func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sens
 	specs := experiments.KnobSpecs()
 	s := &sensitivity{
 		gridPoints: points,
-		shards:     opts.Shards,
 		knobs:      make(map[string][]string, len(exps)),
 		grids:      make(map[string][]float64, len(grids)),
 		requires:   make(map[string]map[string]float64),
@@ -172,7 +168,6 @@ func (s *sensitivity) jobs(exps []core.Experiment, seeds []int64, scale float64)
 							Seed:   seed,
 							Scale:  scale,
 							Params: s.params(knob, v),
-							Shards: s.shards,
 						},
 					})
 				}

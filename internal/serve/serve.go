@@ -361,7 +361,6 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 	opts := report.Options{
 		HTML:    true,
 		Workers: s.base.Workers,
-		Shards:  s.base.Shards,
 	}
 	artifact := "manifest.json"
 	keys := make([]string, 0, len(q))

@@ -9,14 +9,12 @@ package sim
 // netmodel.DelayFloor); the driver enforces the rule at run time and fails
 // loudly on violations instead of silently diverging.
 //
-// Determinism is the contract: the number of worker goroutines (the -shards
-// knob) only sets how many logical shards execute concurrently, never which
-// events exist or in what per-shard order they fire. Cross-shard events park
-// in per-source outboxes during a window and are merged at the barrier in
-// (time, seq, source shard) order — a total order independent of worker
-// scheduling — so a run is bit-identical at any worker count, including the
-// inline workers=1 path. DESIGN.md ("Sharded kernel") states the full
-// invisibility contract.
+// Windows execute inline: every shard with work before the window end runs
+// in shard index order on the caller's goroutine. Cross-shard events park in
+// per-source outboxes during a window and are merged at the barrier in
+// (time, seq, source shard) order, so destination kernels see a total order
+// that depends only on the simulation's structure. DESIGN.md ("Logical
+// shards") states the contract.
 
 import (
 	"errors"
@@ -24,7 +22,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -78,22 +75,19 @@ type violation struct {
 // Construct with NewSharded; populate shards via Shard (setup is sequential,
 // exactly like a single kernel); run with Run/RunUntil/RunFor.
 type ShardedSim struct {
-	shards  []*Sim
-	window  time.Duration
-	workers int
-	seed    int64
+	shards []*Sim
+	window time.Duration
+	seed   int64
 
 	outbox  [][]crossEvent // per-source-shard mailboxes, drained at barriers
 	outSeq  []uint64       // per-source-shard mailbox sequence counters
 	violate []violation    // per-source-shard window-rule breaches
-	errs    []error        // per-shard window results, reused across windows
 	merged  mailboxOrder   // reusable barrier merge scratch
 
 	// curEnd is the exclusive end of the window being executed, 0 at
-	// barriers. Workers read it after receiving a shard index on the work
-	// channel, which orders the coordinator's write before the read.
+	// barriers.
 	curEnd   time.Duration
-	stopped  atomic.Bool
+	stopped  bool
 	observer *obs.Collector
 }
 
@@ -107,14 +101,6 @@ func WithShardSeed(seed int64) ShardedOption {
 	return func(ss *ShardedSim) { ss.seed = seed }
 }
 
-// WithShardWorkers sets how many goroutines execute logical shards within a
-// window. Values below 1 clamp to 1 (inline, no goroutines); values above
-// the shard count are capped at it. The results of a run are identical at
-// every setting — workers are pure execution parallelism.
-func WithShardWorkers(n int) ShardedOption {
-	return func(ss *ShardedSim) { ss.workers = n }
-}
-
 // WithShardObserver attaches a telemetry collector to every shard kernel;
 // kernel statistics (events fired, peak pending, virtual time) sum across
 // shards in the collector's snapshot.
@@ -124,10 +110,10 @@ func WithShardObserver(c *obs.Collector) ShardedOption {
 
 // NewSharded constructs a driver with the given logical shard count and
 // conservative window. The shard count is a structural property of the
-// simulation (how state is partitioned) and must not depend on available
-// parallelism; the window must not exceed the minimum time a shard needs to
-// affect another. It errors on a non-positive shard count or window rather
-// than producing a driver that cannot uphold its determinism contract.
+// simulation (how state is partitioned and how shard seeds derive); the
+// window must not exceed the minimum time a shard needs to affect another.
+// It errors on a non-positive shard count or window rather than producing
+// a driver that cannot uphold its determinism contract.
 func NewSharded(shards int, window time.Duration, opts ...ShardedOption) (*ShardedSim, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: sharded driver needs at least one shard, got %d", shards)
@@ -137,12 +123,10 @@ func NewSharded(shards int, window time.Duration, opts ...ShardedOption) (*Shard
 	}
 	ss := &ShardedSim{
 		window:  window,
-		workers: 1,
 		seed:    1,
 		outbox:  make([][]crossEvent, shards),
 		outSeq:  make([]uint64, shards),
 		violate: make([]violation, shards),
-		errs:    make([]error, shards),
 	}
 	for _, opt := range opts {
 		opt(ss)
@@ -155,20 +139,11 @@ func NewSharded(shards int, window time.Duration, opts ...ShardedOption) (*Shard
 			ss.observer.AttachSim(ss.shards[i])
 		}
 	}
-	if ss.workers < 1 {
-		ss.workers = 1
-	}
-	if ss.workers > shards {
-		ss.workers = shards
-	}
 	return ss, nil
 }
 
 // ShardCount returns the number of logical shards.
 func (ss *ShardedSim) ShardCount() int { return len(ss.shards) }
-
-// Workers returns the effective worker count.
-func (ss *ShardedSim) Workers() int { return ss.workers }
 
 // Window returns the conservative window length.
 func (ss *ShardedSim) Window() time.Duration { return ss.window }
@@ -214,21 +189,20 @@ func (ss *ShardedSim) Pending() int {
 	return n
 }
 
-// Stop halts the run at the next window barrier: in-flight windows complete
-// (keeping shard state consistent at a window boundary), then the Run
-// variant returns ErrStopped. Safe to call from any shard's callback; a Stop
-// with no run in flight makes the next Run variant return ErrStopped
-// immediately, mirroring Sim.Stop.
-func (ss *ShardedSim) Stop() { ss.stopped.Store(true) }
+// Stop halts the run at the next window barrier: the current window
+// completes on every shard (keeping shard state consistent at a window
+// boundary), then the Run variant returns ErrStopped. Safe to call from any
+// shard's callback; a Stop with no run in flight makes the next Run variant
+// return ErrStopped immediately, mirroring Sim.Stop.
+func (ss *ShardedSim) Stop() { ss.stopped = true }
 
 // Post parks a handler event for another shard's kernel; it is delivered at
 // the next window barrier and scheduled there in (time, seq, source shard)
 // order. Posting with a fire time inside the source shard's current window
 // breaks the conservative contract: the post is recorded and the run fails
 // at the barrier. Invalid shard indexes, nil handlers and negative times are
-// rejected by returning false, like AtFunc. Only the owning shard's worker
-// may post from a given source index during a run, which is what makes the
-// per-source outboxes lock-free.
+// rejected by returning false, like AtFunc. During a run, only events
+// executing on shard from may post with that source index.
 //
 //decentlint:hotpath
 func (ss *ShardedSim) Post(from, to int, at time.Duration, h Handler, p Payload) bool {
@@ -247,9 +221,9 @@ func (ss *ShardedSim) Post(from, to int, at time.Duration, h Handler, p Payload)
 
 // drainOutboxes merges every parked cross-shard event into its destination
 // kernel in (time, seq, source shard) order. The merge order is a total
-// order over posts that depends only on simulation structure — never on
-// worker interleaving — so destination kernels assign the same local event
-// sequence numbers at any worker count.
+// order over posts that depends only on simulation structure, so
+// destination kernels assign the same local event sequence numbers on every
+// run.
 //
 //decentlint:hotpath
 func (ss *ShardedSim) drainOutboxes() {
@@ -272,8 +246,7 @@ func (ss *ShardedSim) drainOutboxes() {
 
 // nextTime returns the earliest pending event time across all shards.
 // Outboxes are empty when it is called (barriers drain first), so shard
-// heads are the complete frontier. The result is worker-count invariant,
-// which makes the window lookahead skip deterministic.
+// heads are the complete frontier.
 func (ss *ShardedSim) nextTime() (time.Duration, bool) {
 	best, any := maxDuration, false
 	for _, sh := range ss.shards {
@@ -297,48 +270,22 @@ func (ss *ShardedSim) checkViolations() error {
 	return nil
 }
 
-// runWindow executes one window on every shard that has work before end.
-// With one worker shards run inline in index order; otherwise shard indexes
-// are dispatched to the worker pool and the call blocks until all acks
-// arrive — the barrier. Per-shard execution is identical either way.
-func (ss *ShardedSim) runWindow(end time.Duration, work chan int, ack chan struct{}) error {
+// runWindow executes one window: every shard that has work before end runs
+// up to it, inline in shard index order. It returns ErrStopped, after the
+// whole window has run, when a shard kernel was stopped inside it.
+func (ss *ShardedSim) runWindow(end time.Duration) error {
 	ss.curEnd = end
-	stopped := false
-	if work == nil {
-		for _, sh := range ss.shards {
-			if t, ok := sh.PeekTime(); !ok || t >= end {
-				continue
-			}
-			if err := sh.runBefore(end); errors.Is(err, ErrStopped) {
-				stopped = true
-			}
+	var err error
+	for _, sh := range ss.shards {
+		if t, ok := sh.PeekTime(); !ok || t >= end {
+			continue
 		}
-	} else {
-		for i := range ss.errs {
-			ss.errs[i] = nil
-		}
-		dispatched := 0
-		for i, sh := range ss.shards {
-			if t, ok := sh.PeekTime(); !ok || t >= end {
-				continue
-			}
-			work <- i
-			dispatched++
-		}
-		for k := 0; k < dispatched; k++ {
-			<-ack
-		}
-		for _, err := range ss.errs {
-			if errors.Is(err, ErrStopped) {
-				stopped = true
-			}
+		if errors.Is(sh.runBefore(end), ErrStopped) {
+			err = ErrStopped
 		}
 	}
 	ss.curEnd = 0
-	if stopped {
-		return ErrStopped
-	}
-	return nil
+	return err
 }
 
 // Run executes windows until every shard schedule and mailbox is empty, or
@@ -366,30 +313,12 @@ func (ss *ShardedSim) RunFor(d time.Duration) error {
 // and a window-rule error when a shard posted inside its own window; both
 // leave the driver at a consistent barrier.
 func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
-	if ss.stopped.CompareAndSwap(true, false) {
+	if ss.stopped {
+		ss.stopped = false
 		return ErrStopped
 	}
 	// Merge setup-time cross-shard posts before the first window.
 	ss.drainOutboxes()
-
-	var work chan int
-	var ack chan struct{}
-	if ss.workers > 1 {
-		// Both channels are buffered to the shard count so the
-		// coordinator can dispatch a full window without blocking on
-		// busy workers, and workers never block acking.
-		work = make(chan int, len(ss.shards))
-		ack = make(chan struct{}, len(ss.shards))
-		for w := 0; w < ss.workers; w++ {
-			go func() {
-				for idx := range work {
-					ss.errs[idx] = ss.shards[idx].runBefore(ss.curEnd)
-					ack <- struct{}{}
-				}
-			}()
-		}
-		defer close(work)
-	}
 
 	for {
 		t0, ok := ss.nextTime()
@@ -406,7 +335,7 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
 		if horizon != maxDuration && end > horizon+1 {
 			end = horizon + 1
 		}
-		err := ss.runWindow(end, work, ack)
+		err := ss.runWindow(end)
 		if verr := ss.checkViolations(); verr != nil {
 			return verr
 		}
@@ -414,7 +343,8 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
 			return err
 		}
 		ss.drainOutboxes()
-		if ss.stopped.CompareAndSwap(true, false) {
+		if ss.stopped {
+			ss.stopped = false
 			return ErrStopped
 		}
 	}

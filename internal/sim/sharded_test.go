@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +20,7 @@ type fireRec struct {
 // shards (always at least one window out), or schedule-and-maybe-cancel a
 // closure event. All decisions draw from per-shard streams in per-shard
 // event order, so the whole trajectory is a pure function of (seed, shards,
-// window, budget) — never of the worker count.
+// window, budget).
 type chaosCtx struct {
 	ss        *ShardedSim
 	window    time.Duration
@@ -88,14 +87,9 @@ func chaosFire(p Payload) {
 	}
 }
 
-func runChaos(t testing.TB, shards, workers int, seed int64, budget int) [][]fireRec {
+func runChaos(t testing.TB, shards int, seed int64, budget int) [][]fireRec {
 	t.Helper()
-	window := 10 * time.Millisecond
-	c := newChaos(t, shards, seed, window, budget)
-	WithShardWorkers(workers)(c.ss)
-	if c.ss.workers > shards {
-		c.ss.workers = shards
-	}
+	c := newChaos(t, shards, seed, 10*time.Millisecond, budget)
 	if err := c.ss.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -119,38 +113,11 @@ func diffLogs(a, b [][]fireRec) string {
 	return ""
 }
 
-// TestShardedWorkerCountInvisible is the core determinism contract: the same
-// sharded workload must produce identical per-shard fire logs at every
-// worker count and every GOMAXPROCS setting.
-func TestShardedWorkerCountInvisible(t *testing.T) {
-	const shards = 5
-	base := runChaos(t, shards, 1, 42, 200)
-	total := 0
-	for _, l := range base {
-		total += len(l)
-	}
-	if total < 100 {
-		t.Fatalf("workload too small to be meaningful: %d events", total)
-	}
-	for _, procs := range []int{1, 2, 8} {
-		for _, workers := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
-				old := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(old)
-				got := runChaos(t, shards, workers, 42, 200)
-				if d := diffLogs(base, got); d != "" {
-					t.Fatalf("fire log diverged from workers=1: %s", d)
-				}
-			})
-		}
-	}
-}
-
 // TestShardedSeedSensitivity guards against the chaos harness being a
 // constant: different seeds must produce different trajectories.
 func TestShardedSeedSensitivity(t *testing.T) {
-	a := runChaos(t, 4, 1, 1, 150)
-	b := runChaos(t, 4, 1, 2, 150)
+	a := runChaos(t, 4, 1, 150)
+	b := runChaos(t, 4, 2, 150)
 	if diffLogs(a, b) == "" {
 		t.Fatal("seeds 1 and 2 produced identical trajectories; harness draws no randomness")
 	}
@@ -287,12 +254,11 @@ func TestShardedStopAtBarrier(t *testing.T) {
 
 // TestShardedRunUntilChunks is the window-barrier metamorphic test at the
 // driver level: driving the same workload in k RunFor chunks must equal one
-// RunUntil over the whole horizon, for every worker count.
+// RunUntil over the whole horizon.
 func TestShardedRunUntilChunks(t *testing.T) {
 	const horizon = 400 * time.Millisecond
-	run := func(workers int, chunks int) [][]fireRec {
+	run := func(chunks int) [][]fireRec {
 		c := newChaos(t, 3, 9, 10*time.Millisecond, 120)
-		WithShardWorkers(workers)(c.ss)
 		if chunks <= 1 {
 			if err := c.ss.RunUntil(horizon); err != nil {
 				t.Fatalf("RunUntil: %v", err)
@@ -315,47 +281,23 @@ func TestShardedRunUntilChunks(t *testing.T) {
 		}
 		return c.logs
 	}
-	base := run(1, 1)
-	for _, workers := range []int{1, 3} {
-		for _, chunks := range []int{2, 3, 7} {
-			if d := diffLogs(base, run(workers, chunks)); d != "" {
-				t.Fatalf("workers=%d chunks=%d diverged: %s", workers, chunks, d)
-			}
+	base := run(1)
+	for _, chunks := range []int{2, 3, 7} {
+		if d := diffLogs(base, run(chunks)); d != "" {
+			t.Fatalf("chunks=%d diverged: %s", chunks, d)
 		}
-	}
-}
-
-// TestShardedStress hammers the driver with a large cross-shard ping-pong
-// under every GOMAXPROCS the CI race matrix uses; the assertions are the
-// determinism contract plus exact conservation of fired events. The race
-// detector (CI runs this file under -race) checks the memory model side.
-func TestShardedStress(t *testing.T) {
-	budget := 800
-	if testing.Short() {
-		budget = 150
-	}
-	base := runChaos(t, 8, 1, 1234, budget)
-	for _, procs := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
-			got := runChaos(t, 8, 8, 1234, budget)
-			if d := diffLogs(base, got); d != "" {
-				t.Fatalf("stress run diverged: %s", d)
-			}
-		})
 	}
 }
 
 // TestShardedAccounting checks the aggregate accessors sum across shards
 // and mailboxes.
 func TestShardedAccounting(t *testing.T) {
-	ss, err := NewSharded(3, 10*time.Millisecond, WithShardSeed(1), WithShardWorkers(2))
+	ss, err := NewSharded(3, 10*time.Millisecond, WithShardSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Workers() != 2 || ss.ShardCount() != 3 || ss.Window() != 10*time.Millisecond {
-		t.Fatalf("accessors: workers=%d shards=%d window=%v", ss.Workers(), ss.ShardCount(), ss.Window())
+	if ss.ShardCount() != 3 || ss.Window() != 10*time.Millisecond {
+		t.Fatalf("accessors: shards=%d window=%v", ss.ShardCount(), ss.Window())
 	}
 	h := func(Payload) {}
 	ss.Shard(0).AtFunc(time.Millisecond, func(p Payload) {}, Payload{})
@@ -385,12 +327,9 @@ func TestNewShardedRejects(t *testing.T) {
 	if _, err := NewSharded(2, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	ss, err := NewSharded(2, time.Millisecond, WithShardWorkers(99))
+	ss, err := NewSharded(2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ss.Workers() != 2 {
-		t.Fatalf("workers not capped at shard count: %d", ss.Workers())
 	}
 	if ss.Post(-1, 0, 0, func(Payload) {}, Payload{}) || ss.Post(0, 5, 0, func(Payload) {}, Payload{}) ||
 		ss.Post(0, 1, -time.Second, func(Payload) {}, Payload{}) || ss.Post(0, 1, 0, nil, Payload{}) {

@@ -189,7 +189,7 @@ func (s *Sim) Pending() int { return len(s.queue) }
 
 // PeekTime returns the timestamp of the earliest pending event. ok is
 // false when nothing is scheduled. The sharded driver uses it to skip
-// windows with no work (the lookahead jump is worker-count invariant).
+// windows with no work.
 func (s *Sim) PeekTime() (t time.Duration, ok bool) {
 	if len(s.queue) == 0 {
 		return 0, false
