@@ -38,6 +38,8 @@ func TestArgumentAudit(t *testing.T) {
 		{"serve rejects diff", []string{"serve", "-diff", "x.json"}, "-diff does not apply"},
 		{"serve rejects multi-value knob", []string{"serve", "-set", "e01.exploration=0.2,0.4"}, "sweep subcommand"},
 		{"serve unknown id", []string{"serve", "E99"}, "unknown experiment"},
+		{"serve fails before listening on an ungeneratable scenario",
+			[]string{"serve", "-addr", "127.0.0.1:0", "-set", "e01.exploration=0.2", "E02"}, "not among the selected experiments"},
 		{"against needs diff", []string{"report", "-against", "x.json", "E01"}, "-against needs -diff"},
 		{"diff rejects html", []string{"report", "-diff", "x.json", "-html", "E01"}, "writes no tree"},
 		{"diff rejects out", []string{"report", "-diff", "x.json", "-out", "d", "E01"}, "writes no tree"},

@@ -22,7 +22,7 @@
 //	decentsim report -html all         # + self-contained HTML siblings (index.html, ...)
 //	decentsim report -diff old-manifest.json -seeds 1..3 all   # exit nonzero on verdict flips
 //	decentsim report -diff SOAK_baseline.json -against SOAK_drift.json  # trend gate, no runs
-//	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # living report over HTTP
+//	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # HTML report over HTTP
 //	decentsim trace E06                # run once, write trace.json (chrome://tracing)
 //	decentsim trace -seed 3 -trace-limit 50000 -out e13.trace.json E13
 //	decentsim rep -n 5 -profile profiles E06   # per-run CPU/heap pprof files
@@ -153,7 +153,7 @@ commands:
   sweep <ids|all>      multi-seed / multi-scale / multi-knob sweeps
   rep <ids|all>        replicate over seeds and aggregate
   report <ids|all>     render the reproduction report tree (-html, -diff)
-  serve [ids|all]      serve the living report over HTTP (-addr)
+  serve [ids|all]      generate the HTML report, then serve it over HTTP (-addr)
   trace <id>           run once, write a Chrome trace
 
 run 'decentsim <command> -h' for that command's flags`
@@ -596,10 +596,12 @@ func diffCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) e
 	return nil
 }
 
-// serveCmd runs the living-report service: the report tree for the
-// selected scenario (default: every experiment, seeds 1..3, scale 1)
-// behind an HTTP API with scenario-hash caching. It blocks until
-// interrupted; SIGINT/SIGTERM drain in-flight requests before exit.
+// serveCmd generates the report tree for the selected scenario (default:
+// every experiment, seeds 1..3, scale 1) with HTML on, then serves it over
+// HTTP. Generation finishes before the listener opens, so a scenario that
+// cannot be generated fails the command without binding the address. It
+// blocks until interrupted; SIGINT/SIGTERM drain in-flight requests before
+// exit.
 func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) error {
 	if len(ids) > 0 {
 		var err error
@@ -617,6 +619,7 @@ func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) 
 		Sensitivity: opts.sensitivity,
 		GridPoints:  opts.gridPoints,
 		Resources:   opts.resources,
+		HTML:        true,
 	}
 	var err error
 	if opts.seeds != "" {
@@ -630,9 +633,9 @@ func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) 
 		}
 		base.Params[name] = vals[0]
 	}
-	srv, err := decent.NewServer(base, decent.NewCollector())
+	tree, err := decent.GenerateReport(base)
 	if err != nil {
-		return fmt.Errorf("serve: %w", err)
+		return err
 	}
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
@@ -640,7 +643,7 @@ func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) 
 	}
 	// Announce the resolved address (not the flag) so -addr :0 is usable.
 	fmt.Fprintf(out, "serve: listening on http://%s\n", ln.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: decent.ReportHandler(tree)}
 	done := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

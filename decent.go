@@ -25,8 +25,8 @@
 //	}, 0) // 0 workers = GOMAXPROCS
 //	fmt.Println(rep)
 //
-// The reproduction report renders offline (GenerateReport, GenerateHTML)
-// or as a living HTTP service with scenario-hash caching (Serve).
+// The reproduction report renders offline (GenerateReport); ReportHandler
+// serves a generated tree over HTTP.
 //
 // The re-exports below are grouped by layer: kernel, transport,
 // telemetry, experiments, harness, report, and serve.
@@ -36,7 +36,6 @@
 package decent
 
 import (
-	"context"
 	"net/http"
 
 	"repro/internal/core"
@@ -258,8 +257,8 @@ func SensitivityGrids(points int, scale float64) map[string][]float64 {
 
 // ---------------------------------------------------------------------------
 // Harness — the worker-pool execution layer: sweep grids (ids × seeds ×
-// scales × knobs), parallel execution with optional cancellation, and
-// multi-seed aggregation into verdict reports.
+// scales × knobs), parallel execution, and multi-seed aggregation into
+// verdict reports.
 // ---------------------------------------------------------------------------
 
 // MaxSeeds bounds how many seeds one sweep or replication may expand to.
@@ -280,44 +279,27 @@ type JobResult = harness.JobResult
 // and majority-vote shape verdicts, exportable as JSON or CSV.
 type Report = harness.Report
 
-// Runner is the harness worker pool for custom registries. Run executes
-// uncancellably; RunContext checks its context between jobs.
+// Runner is the harness worker pool for custom registries.
 type Runner = harness.Runner
 
 // RunParallel executes jobs against the paper registry on a worker pool
 // (workers <= 0 means GOMAXPROCS) and returns results in job order.
 func RunParallel(jobs []Job, workers int) ([]JobResult, error) {
-	return RunParallelContext(context.Background(), jobs, workers)
-}
-
-// RunParallelContext is RunParallel with cancellation: once ctx is done,
-// jobs that have not started yet complete immediately with ctx's error as
-// their JobResult.Err while in-flight jobs finish, so the returned slice
-// always has one entry per job.
-func RunParallelContext(ctx context.Context, jobs []Job, workers int) ([]JobResult, error) {
 	reg, err := experiments.Registry()
 	if err != nil {
 		return nil, err
 	}
-	return harness.RunParallelContext(ctx, reg, jobs, workers), nil
+	return harness.RunParallel(reg, jobs, workers), nil
 }
 
 // RunSweep validates and expands the sweep, runs it in parallel, and
 // aggregates the replications into a Report. The same sweep produces a
 // byte-identical Report.JSON() at any worker count.
 func RunSweep(s Sweep, workers int) (*Report, error) {
-	return RunSweepContext(context.Background(), s, workers)
-}
-
-// RunSweepContext is RunSweep with cancellation: replications not yet
-// started when ctx ends surface as run errors in the aggregate (the
-// report service uses this to abandon sweeps whose requesters have gone
-// away).
-func RunSweepContext(ctx context.Context, s Sweep, workers int) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	results, err := RunParallelContext(ctx, s.Jobs(), workers)
+	results, err := RunParallel(s.Jobs(), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -342,8 +324,8 @@ func AggregateView(results []JobResult) []GroupView {
 // ScenarioKey renders the canonical identity replications aggregate on
 // (experiment id + scale + knob assignment); it equals Group.Key for the
 // group those runs merge into, so sweep output can be indexed by the
-// scenarios that were submitted. The report manifest's claims and the
-// report service's cache carry these same keys.
+// scenarios that were submitted. The report manifest's claims carry these
+// same keys.
 func ScenarioKey(experimentID string, scale float64, params map[string]float64) string {
 	return harness.ScenarioKey(experimentID, scale, params)
 }
@@ -403,27 +385,11 @@ func ParseManifest(data []byte) (*Manifest, error) {
 // harness worker pool and renders the reproduction report. Equal options
 // produce byte-identical trees at any worker count.
 func GenerateReport(opts ReportOptions) (*ReportTree, error) {
-	return GenerateReportContext(context.Background(), opts)
-}
-
-// GenerateReportContext is GenerateReport with cancellation: once ctx is
-// done, replications that have not started yet are skipped and generation
-// returns ctx's error instead of a partial tree.
-func GenerateReportContext(ctx context.Context, opts ReportOptions) (*ReportTree, error) {
 	reg, err := experiments.Registry()
 	if err != nil {
 		return nil, err
 	}
-	return report.GenerateContext(ctx, reg, opts)
-}
-
-// GenerateHTML is GenerateReport with the HTML layer forced on: every
-// markdown page gains a self-contained HTML sibling (index.html,
-// experiments/<ID>.html — inline CSS, no JS), all manifest-indexed and
-// byte-deterministic.
-func GenerateHTML(opts ReportOptions) (*ReportTree, error) {
-	opts.HTML = true
-	return GenerateReport(opts)
+	return report.Generate(reg, opts)
 }
 
 // ReportDiff is the outcome of comparing two manifests (verdict flips,
@@ -441,35 +407,13 @@ func DiffDocs(oldData, newData []byte) (*ReportDiff, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve — the living-report service: the report tree behind an HTTP API,
-// executed on demand through the harness with scenario-hash caching and
-// singleflight collapse, observable through the obs telemetry layer.
+// Serve — one generated report tree behind an HTTP API.
 // ---------------------------------------------------------------------------
 
-// ReportServer executes report scenarios on demand and caches their trees
-// by scenario hash; Handler exposes /report, /experiments/{id}, /run, and
-// the /healthz and /statz probes.
-type ReportServer = serve.Server
-
-// NewServer builds a report server over the paper registry. base is the
-// default scenario for /report and /experiments/{id} (HTML rendering is
-// forced on); col may be nil to run without telemetry.
-func NewServer(base ReportOptions, col *Collector) (*ReportServer, error) {
-	reg, err := experiments.Registry()
-	if err != nil {
-		return nil, err
-	}
-	return serve.New(reg, base, col), nil
-}
-
-// Serve runs the living-report service on addr (e.g. ":8080") until the
-// listener fails. It is the blocking convenience entry point; for
-// graceful shutdown or a chosen listener, mount NewServer().Handler() on
-// your own http.Server.
-func Serve(addr string, base ReportOptions) error {
-	s, err := NewServer(base, NewCollector())
-	if err != nil {
-		return err
-	}
-	return http.ListenAndServe(addr, s.Handler())
+// ReportHandler serves tree over HTTP: /report (index.html),
+// /report/{path...} (any artifact), /experiments/{id} (a per-experiment
+// HTML page) and /healthz. Generate the tree with ReportOptions.HTML set
+// so the HTML routes resolve; the responses are the tree's bytes.
+func ReportHandler(tree *ReportTree) http.Handler {
+	return serve.Handler(tree)
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
@@ -84,20 +83,8 @@ func (r *Runner) workers(jobs int) int {
 }
 
 // Run executes all jobs and returns their results in job order, regardless
-// of worker count or completion order. It is RunContext with a background
-// context: nothing cancels the batch.
+// of worker count or completion order.
 func (r *Runner) Run(jobs []Job) []JobResult {
-	return r.RunContext(context.Background(), jobs)
-}
-
-// RunContext executes all jobs and returns their results in job order,
-// regardless of worker count or completion order. Cancellation is checked
-// between jobs: once ctx is done, jobs that have not started yet complete
-// immediately with ctx's error as their JobResult.Err, while jobs already
-// running finish normally (experiments are deterministic simulations with
-// no cancellation points of their own). The returned slice always has one
-// entry per job, so aggregation over a cancelled batch stays well formed.
-func (r *Runner) RunContext(ctx context.Context, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -106,11 +93,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) []JobResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					out[i] = JobResult{Job: jobs[i], Err: fmt.Errorf("harness: run cancelled: %w", err)}
-				} else {
-					out[i] = r.runOne(jobs[i])
-				}
+				out[i] = r.runOne(jobs[i])
 				if r.OnResult != nil {
 					r.mu.Lock()
 					r.OnResult(i, out[i])
@@ -192,13 +175,6 @@ func (r *Runner) runProfiled(j Job) (*core.Result, error) {
 // RunParallel runs jobs against reg with the given worker count (<=0 means
 // GOMAXPROCS) and returns results in job order.
 func RunParallel(reg *core.Registry, jobs []Job, workers int) []JobResult {
-	return RunParallelContext(context.Background(), reg, jobs, workers)
-}
-
-// RunParallelContext is RunParallel with cancellation: jobs not yet
-// started when ctx is done complete immediately with ctx's error (see
-// Runner.RunContext).
-func RunParallelContext(ctx context.Context, reg *core.Registry, jobs []Job, workers int) []JobResult {
 	r := Runner{Registry: reg, Workers: workers}
-	return r.RunContext(ctx, jobs)
+	return r.Run(jobs)
 }

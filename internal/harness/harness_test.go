@@ -91,6 +91,37 @@ func TestSweepKnobAppliesOnlyToItsExperiment(t *testing.T) {
 	}
 }
 
+// TestSweepValidate pins the grid checks every sweep passes, whether it
+// came from the CLI parsers or was built in code: repeated seeds or scales
+// would aggregate as extra replications, and foreign knobs would vanish.
+func TestSweepValidate(t *testing.T) {
+	cases := []struct {
+		name  string
+		sweep Sweep
+		want  string // substring of the error; "" means valid
+	}{
+		{"minimal", Sweep{Experiments: []string{"E01"}}, ""},
+		{"full grid", Sweep{Experiments: []string{"E01"}, Seeds: []int64{1, 2}, Scales: []float64{0.25, 1},
+			Params: map[string][]float64{"e01.exploration": {0.2, 0.4}}}, ""},
+		{"duplicate seed", Sweep{Experiments: []string{"E01"}, Seeds: []int64{1, 1}, Scales: []float64{0.25}}, "duplicate seed 1"},
+		{"duplicate seed apart", Sweep{Experiments: []string{"E01"}, Seeds: []int64{3, 1, 3}}, "duplicate seed 3"},
+		{"duplicate scale", Sweep{Experiments: []string{"E01"}, Scales: []float64{0.5, 0.5}}, "duplicate scale 0.5"},
+		{"foreign knob", Sweep{Experiments: []string{"E02"}, Params: map[string][]float64{"e01.exploration": {0.2}}},
+			"not among the selected experiments"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.sweep.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("Validate() = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("Validate() = %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestParseSeedsRangeCap(t *testing.T) {
 	// The cap applies to ranges, and to single entries past a full range.
 	for _, bad := range []string{"1..9223372036854775807", "1..2000000", "1..1048576,9999999"} {

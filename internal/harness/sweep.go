@@ -92,10 +92,27 @@ func (s Sweep) paramsFor(id string) map[string][]float64 {
 	return out
 }
 
-// Validate rejects sweeps whose knobs are owned by an experiment the
-// sweep does not include: such a knob would either silently vanish from
-// the grid or silently duplicate scenarios, depending on expansion rules.
+// Validate rejects sweeps that would corrupt their aggregates: repeated
+// seeds or scales (a repeated seed counts as an extra replication and
+// biases stddev/CI toward 0; a repeated scale merges two grid points into
+// one group), and knobs owned by an experiment the sweep does not
+// include (such a knob would either silently vanish from the grid or
+// silently duplicate scenarios, depending on expansion rules).
 func (s Sweep) Validate() error {
+	seenSeed := make(map[int64]bool, len(s.Seeds))
+	for _, seed := range s.Seeds {
+		if seenSeed[seed] {
+			return fmt.Errorf("harness: duplicate seed %d in sweep", seed)
+		}
+		seenSeed[seed] = true
+	}
+	seenScale := make(map[float64]bool, len(s.Scales))
+	for _, scale := range s.Scales {
+		if seenScale[scale] {
+			return fmt.Errorf("harness: duplicate scale %g in sweep", scale)
+		}
+		seenScale[scale] = true
+	}
 	names := make([]string, 0, len(s.Params))
 	for name := range s.Params {
 		names = append(names, name)

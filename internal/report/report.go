@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -225,14 +224,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 // trees at any worker count: rendering consumes only the deterministic
 // aggregation view, never wall-clock times or map order.
 func Generate(reg *core.Registry, opts Options) (*Tree, error) {
-	return GenerateContext(context.Background(), reg, opts)
-}
-
-// GenerateContext is Generate with cancellation: once ctx is done,
-// replications that have not started yet are skipped and generation
-// returns ctx's error instead of a partial tree. The report service uses
-// this to abandon sweeps whose requesters have gone away.
-func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tree, error) {
 	ids := opts.IDs
 	if len(ids) == 0 {
 		for _, e := range reg.All() {
@@ -295,10 +286,7 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 		sens = buildSensitivity(exps, scale, opts)
 		jobs = append(jobs[:len(baseJobs):len(baseJobs)], sens.jobs(exps, seeds, scale)...)
 	}
-	results := runner.RunContext(ctx, jobs)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("report: generation cancelled: %w", err)
-	}
+	results := runner.Run(jobs)
 	if res != nil {
 		res.record(results[:len(baseJobs)])
 	}

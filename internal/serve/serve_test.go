@@ -5,25 +5,25 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
-// testScenario keeps handler tests fast: one small experiment, one seed,
-// quarter scale.
-var testScenario = report.Options{IDs: []string{"E01"}, Seeds: []int64{1}, Scale: 0.25}
-
-func testServer(t *testing.T) *Server {
+// testTree keeps handler tests fast: one small experiment, one seed,
+// quarter scale, HTML on.
+func testTree(t *testing.T) *report.Tree {
 	t.Helper()
 	reg, err := experiments.Registry()
 	if err != nil {
 		t.Fatalf("Registry: %v", err)
 	}
-	return New(reg, testScenario, obs.NewCollector())
+	tree, err := report.Generate(reg, report.Options{IDs: []string{"E01"}, Seeds: []int64{1}, Scale: 0.25, HTML: true})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	return tree
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -33,51 +33,12 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestReportCacheMissThenHit pins the cache contract: the first /report
-// request generates (miss), the second is served from the cache (hit)
-// with byte-identical content, and the obs lanes record both.
-func TestReportCacheMissThenHit(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-
-	first := get(t, h, "/report")
-	if first.Code != http.StatusOK {
-		t.Fatalf("first /report: %d %s", first.Code, first.Body.String())
-	}
-	if lane := first.Header().Get("X-Decentsim-Cache"); lane != "miss" {
-		t.Errorf("first request lane = %q, want miss", lane)
-	}
-	second := get(t, h, "/report")
-	if second.Code != http.StatusOK {
-		t.Fatalf("second /report: %d", second.Code)
-	}
-	if lane := second.Header().Get("X-Decentsim-Cache"); lane != "hit" {
-		t.Errorf("second request lane = %q, want hit", lane)
-	}
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Errorf("cached response differs from generated response")
-	}
-	st := s.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.Sweeps != 1 {
-		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 sweep", st)
-	}
-}
-
 // TestServedBytesMatchOffline pins the byte-identity acceptance
 // criterion: what the service streams equals the offline report tree for
 // the same scenario.
 func TestServedBytesMatchOffline(t *testing.T) {
-	reg, err := experiments.Registry()
-	if err != nil {
-		t.Fatalf("Registry: %v", err)
-	}
-	opts := testScenario
-	opts.HTML = true
-	offline, err := report.Generate(reg, opts)
-	if err != nil {
-		t.Fatalf("offline Generate: %v", err)
-	}
-	h := testServer(t).Handler()
+	offline := testTree(t)
+	h := Handler(testTree(t))
 	if err := offline.Walk(func(f report.File) error {
 		rec := get(t, h, "/report/"+f.Path)
 		if rec.Code != http.StatusOK {
@@ -95,7 +56,7 @@ func TestServedBytesMatchOffline(t *testing.T) {
 // TestRoutes covers the route surface: index aliases, per-experiment
 // pages, content types, unknown artifacts.
 func TestRoutes(t *testing.T) {
-	h := testServer(t).Handler()
+	h := Handler(testTree(t))
 
 	if rec := get(t, h, "/healthz"); rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
 		t.Errorf("/healthz = %d %q", rec.Code, rec.Body.String())
@@ -121,141 +82,5 @@ func TestRoutes(t *testing.T) {
 	}
 	if rec := get(t, h, "/experiments/E99"); rec.Code >= 200 && rec.Code < 300 {
 		t.Errorf("/experiments/E99 = %d, want failure", rec.Code)
-	}
-	if rec := get(t, h, "/statz"); rec.Code != http.StatusOK ||
-		!bytes.Contains(rec.Body.Bytes(), []byte("cache_hits")) {
-		t.Errorf("/statz = %d %q", rec.Code, rec.Body.String())
-	}
-}
-
-// TestRunSingleflight pins the collapse contract: concurrent identical
-// /run requests share one generation — exactly one sweep runs, every
-// response carries identical bytes, and the lane headers partition into
-// one miss plus waits/hits.
-func TestRunSingleflight(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	const n = 8
-	recs := make([]*httptest.ResponseRecorder, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/run?scenario=E01&seeds=1&scale=0.25", nil))
-			recs[i] = rec
-		}(i)
-	}
-	wg.Wait()
-
-	lanes := map[string]int{}
-	for i, rec := range recs {
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		lanes[rec.Header().Get("X-Decentsim-Cache")]++
-		if !bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
-			t.Errorf("request %d bytes differ", i)
-		}
-	}
-	if lanes["miss"] != 1 {
-		t.Errorf("lanes = %v, want exactly one miss", lanes)
-	}
-	if lanes["miss"]+lanes["wait"]+lanes["hit"] != n {
-		t.Errorf("lanes = %v, want %d total", lanes, n)
-	}
-	if st := s.Stats(); st.Sweeps != 1 {
-		t.Errorf("stats = %+v, want exactly one sweep for %d identical requests", st, n)
-	}
-}
-
-// TestRunScenarioIdentity checks /run keying: the same scenario spelled
-// through /run hits the cache entry the default /report scenario filled,
-// and a different scenario misses.
-func TestRunScenarioIdentity(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	get(t, h, "/report")
-	same := get(t, h, "/run?scenario=E01&seeds=1&scale=0.25&artifact=index.html")
-	if lane := same.Header().Get("X-Decentsim-Cache"); lane != "hit" {
-		t.Errorf("identical scenario via /run lane = %q, want hit", lane)
-	}
-	other := get(t, h, "/run?scenario=E01&seeds=2&scale=0.25")
-	if lane := other.Header().Get("X-Decentsim-Cache"); lane != "miss" {
-		t.Errorf("different seed set lane = %q, want miss", lane)
-	}
-	if other.Header().Get("X-Decentsim-Key") == same.Header().Get("X-Decentsim-Key") {
-		t.Errorf("different scenarios share a cache key")
-	}
-}
-
-// TestRunMalformedScenario pins the 400 contract for every malformed
-// scenario class.
-func TestRunMalformedScenario(t *testing.T) {
-	h := testServer(t).Handler()
-	cases := []struct{ name, query string }{
-		{"unknown key", "/run?frobnicate=1"},
-		{"unknown experiment", "/run?scenario=E99"},
-		{"zero seed", "/run?scenario=E01&seeds=0"},
-		{"bad seed", "/run?scenario=E01&seeds=x"},
-		{"inverted range", "/run?scenario=E01&seeds=5..2"},
-		{"huge range", "/run?scenario=E01&seeds=1..99999"},
-		{"bad scale", "/run?scenario=E01&scale=banana"},
-		{"negative scale", "/run?scenario=E01&scale=-1"},
-		{"unknown knob", "/run?scenario=E01&knob.nope=1"},
-		{"bad knob value", "/run?scenario=E01&knob.e01.exploration=x"},
-		{"bad bool", "/run?scenario=E01&sensitivity=maybe"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := get(t, h, tc.query)
-			if rec.Code != http.StatusBadRequest {
-				t.Errorf("%s = %d %q, want 400", tc.query, rec.Code, rec.Body.String())
-			}
-		})
-	}
-}
-
-// TestKeyCanonical pins that key computation is insensitive to id case
-// and spelling order of defaults.
-func TestKeyCanonical(t *testing.T) {
-	reg, err := experiments.Registry()
-	if err != nil {
-		t.Fatalf("Registry: %v", err)
-	}
-	a := Key(normalize(reg, report.Options{IDs: []string{"e01"}, Seeds: []int64{1}, Scale: 0.25, HTML: true}))
-	b := Key(normalize(reg, report.Options{IDs: []string{"E01"}, Seeds: []int64{1}, Scale: 0.25, HTML: true}))
-	if a != b {
-		t.Errorf("case-insensitive ids should share a key")
-	}
-	c := Key(normalize(reg, report.Options{IDs: []string{"E01"}, Seeds: []int64{2}, Scale: 0.25, HTML: true}))
-	if a == c {
-		t.Errorf("different seeds should change the key")
-	}
-}
-
-// TestEviction checks completed idle entries beyond the cap are dropped
-// LRU-first while in-flight entries survive.
-func TestEviction(t *testing.T) {
-	s := testServer(t)
-	s.maxCached = 1
-	mk := func(n int) *entry {
-		e := &entry{ready: make(chan struct{}), lastUse: int64(n)}
-		close(e.ready)
-		return e
-	}
-	s.mu.Lock()
-	s.cache["a"] = mk(1)
-	s.cache["b"] = mk(2)
-	inflight := &entry{ready: make(chan struct{}), lastUse: 0}
-	s.cache["c"] = inflight
-	s.evictLocked()
-	_, hasA := s.cache["a"]
-	_, hasB := s.cache["b"]
-	_, hasC := s.cache["c"]
-	s.mu.Unlock()
-	if hasA || !hasB || !hasC {
-		t.Errorf("eviction kept a=%t b=%t c=%t, want only b (newest done) and c (in flight)", hasA, hasB, hasC)
 	}
 }
