@@ -11,9 +11,9 @@
 package offchain
 
 import (
-	"container/heap"
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -81,6 +81,14 @@ type Network struct {
 	net     *netmodel.Net
 	addrs   []netmodel.NodeID
 	latency metrics.Sample
+
+	// route's scratch, sized once in NewNetwork and reused by every
+	// payment: tentative hop counts, each node's predecessor channel, the
+	// Dijkstra heap and the returned path.
+	dist   []int
+	prevCh []int
+	pq     []pqItem
+	path   []int
 }
 
 // htlcMsgSize is the modelled wire size of one HTLC message (an
@@ -164,6 +172,13 @@ func NewNetwork(n int) (*Network, error) {
 		n:         n,
 		adj:       make([][]int, n),
 		routedVia: make([]int64, n),
+		dist:      make([]int, n),
+		prevCh:    make([]int, n),
+		// Hop costs are all 1, so no node's distance ever improves after
+		// its first push: the heap holds at most n items, a path at most
+		// n-1 channels.
+		pq:   make([]pqItem, 0, n),
+		path: make([]int, 0, n),
 	}, nil
 }
 
@@ -266,41 +281,72 @@ func (nw *Network) Pay(src, dst int, amt float64) bool {
 	return true
 }
 
-// route finds a min-hop path with per-hop liquidity >= amt.
+// pqItem is a Dijkstra heap entry: a node and its hop count when pushed.
 type pqItem struct {
 	node int
 	dist int
 }
 
-type priorityQueue []pqItem
-
-func (p priorityQueue) Len() int           { return len(p) }
-func (p priorityQueue) Less(i, j int) bool { return p[i].dist < p[j].dist }
-func (p priorityQueue) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *priorityQueue) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *priorityQueue) Pop() any {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+// pqPush and pqPop are container/heap's Push and Pop on route's heap,
+// typed and unboxed. They make exactly container/heap's comparisons and
+// swaps, so equal-distance nodes pop in the same order and routes
+// tie-break as they did on container/heap.
+//
+//decentlint:hotpath
+func (nw *Network) pqPush(it pqItem) {
+	nw.pq = append(nw.pq, it) //decentlint:allow hotpath the heap is made with capacity n in NewNetwork and reused by every route
+	pq := nw.pq
+	for j := len(pq) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || pq[j].dist >= pq[i].dist {
+			break
+		}
+		pq[i], pq[j] = pq[j], pq[i]
+		j = i
+	}
 }
 
+//decentlint:hotpath
+func (nw *Network) pqPop() pqItem {
+	pq := nw.pq
+	n := len(pq) - 1
+	pq[0], pq[n] = pq[n], pq[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && pq[j2].dist < pq[j1].dist {
+			j = j2 // right child
+		}
+		if pq[j].dist >= pq[i].dist {
+			break
+		}
+		pq[i], pq[j] = pq[j], pq[i]
+		i = j
+	}
+	nw.pq = pq[:n]
+	return pq[n]
+}
+
+// route finds a min-hop path with per-hop liquidity >= amt and returns its
+// channel indices in order from src, or nil when dst is unreachable. The
+// slice is the network's reused scratch: it is valid until the next Pay.
+//
+//decentlint:hotpath
 func (nw *Network) route(src, dst int, amt float64) []int {
 	const inf = math.MaxInt32
-	dist := make([]int, nw.n)
-	prevCh := make([]int, nw.n)
+	dist, prevCh := nw.dist, nw.prevCh
 	for i := range dist {
 		dist[i] = inf
 		prevCh[i] = -1
 	}
 	dist[src] = 0
-	pq := &priorityQueue{{node: src}}
-	for pq.Len() > 0 {
-		it, ok := heap.Pop(pq).(pqItem)
-		if !ok {
-			break
-		}
+	nw.pq = nw.pq[:0]
+	nw.pqPush(pqItem{node: src})
+	for len(nw.pq) > 0 {
+		it := nw.pqPop()
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -316,28 +362,25 @@ func (nw *Network) route(src, dst int, amt float64) []int {
 			if d := it.dist + 1; d < dist[next] {
 				dist[next] = d
 				prevCh[next] = chIdx
-				heap.Push(pq, pqItem{node: next, dist: d})
+				nw.pqPush(pqItem{node: next, dist: d})
 			}
 		}
 	}
 	if dist[dst] == inf {
 		return nil
 	}
-	// Rebuild the path channel list from dst back to src.
-	var rev []int
+	path := nw.path[:0]
 	for cur := dst; cur != src; {
 		chIdx := prevCh[cur]
 		if chIdx < 0 {
 			return nil
 		}
-		rev = append(rev, chIdx)
+		path = append(path, chIdx) //decentlint:allow hotpath the path buffer is made with capacity n in NewNetwork and reused by every route
 		cur = nw.channels[chIdx].other(cur)
 	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	slices.Reverse(path)
+	nw.path = path
+	return path
 }
 
 // Topology builders for the two deployment shapes the paper contrasts.

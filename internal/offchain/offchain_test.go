@@ -1,6 +1,9 @@
 package offchain
 
 import (
+	"container/heap"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -324,5 +327,162 @@ func TestAttachTransportRejectsForeignAddrs(t *testing.T) {
 	b := nm.AddNode(netmodel.Europe, 0)
 	if err := nw.AttachTransport(nm, []netmodel.NodeID{a, b}); err != nil {
 		t.Fatalf("valid attach failed: %v", err)
+	}
+}
+
+// E18's default topologies at scale 1: 60 nodes sharing 600000 of locked
+// capital, either 3 fully-connected hubs plus one channel per leaf (each
+// hub-hub channel 4x a leaf channel) or a degree-6 mesh.
+const (
+	e18Nodes   = 60
+	e18Hubs    = 3
+	e18Degree  = 6
+	e18Capital = 600_000
+)
+
+// e18Network builds E18's hub or mesh topology over the given total
+// capital; g draws the mesh chords.
+func e18Network(tb testing.TB, g *sim.RNG, hub bool, capital float64) *Network {
+	tb.Helper()
+	nw, err := NewNetwork(e18Nodes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if hub {
+		perChannel := capital / float64(e18Hubs*(e18Hubs-1)/2*4+(e18Nodes-e18Hubs))
+		err = BuildHubTopology(nw, e18Hubs, perChannel)
+	} else {
+		err = BuildMeshTopology(g, nw, e18Degree, capital/float64(e18Nodes*e18Degree/2))
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nw
+}
+
+// payment is one E18-style payment draw.
+type payment struct {
+	src, dst int
+	amt      float64
+}
+
+// e18Payments draws n payments between distinct nodes as E18 does.
+func e18Payments(g *sim.RNG, n int) []payment {
+	out := make([]payment, 0, n)
+	for len(out) < n {
+		src, dst := g.Intn(e18Nodes), g.Intn(e18Nodes)
+		if src != dst {
+			out = append(out, payment{src, dst, 1 + g.Float64()*20})
+		}
+	}
+	return out
+}
+
+// refQueue and refRoute are the router as it was on container/heap: the
+// oracle for route's typed heap, which must tie-break identically.
+type refQueue []pqItem
+
+func (p refQueue) Len() int           { return len(p) }
+func (p refQueue) Less(i, j int) bool { return p[i].dist < p[j].dist }
+func (p refQueue) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p *refQueue) Push(x any)        { *p = append(*p, x.(pqItem)) }
+func (p *refQueue) Pop() any {
+	old := *p
+	it := old[len(old)-1]
+	*p = old[:len(old)-1]
+	return it
+}
+
+func refRoute(nw *Network, src, dst int, amt float64) []int {
+	const inf = math.MaxInt32
+	dist := make([]int, nw.n)
+	prevCh := make([]int, nw.n)
+	for i := range dist {
+		dist[i] = inf
+		prevCh[i] = -1
+	}
+	dist[src] = 0
+	pq := &refQueue{{node: src}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(pqItem)
+		if it.dist > dist[it.node] {
+			continue
+		}
+		if it.node == dst {
+			break
+		}
+		for _, chIdx := range nw.adj[it.node] {
+			ch := nw.channels[chIdx]
+			if ch.balance(it.node) < amt {
+				continue
+			}
+			next := ch.other(it.node)
+			if d := it.dist + 1; d < dist[next] {
+				dist[next] = d
+				prevCh[next] = chIdx
+				heap.Push(pq, pqItem{node: next, dist: d})
+			}
+		}
+	}
+	if dist[dst] == inf {
+		return nil
+	}
+	var rev []int
+	for cur := dst; cur != src; cur = nw.channels[prevCh[cur]].other(cur) {
+		rev = append(rev, prevCh[cur])
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
+// TestRouteMatchesContainerHeap replays E18-shaped payment runs and checks
+// that route picks exactly the reference router's channel path, failures
+// included, for every payment; both see the same balances each time. At
+// E18's capital no channel runs dry, so the routes are the tie-broken
+// shortest paths; at 1% of it liquidity forces detours and failures.
+func TestRouteMatchesContainerHeap(t *testing.T) {
+	for _, capital := range []float64{e18Capital, e18Capital / 100} {
+		for _, hub := range []bool{true, false} {
+			for seed := int64(1); seed <= 3; seed++ {
+				g := sim.NewRNG(seed)
+				nw := e18Network(t, g, hub, capital)
+				routed, failed := 0, 0
+				for i, p := range e18Payments(g, 4000) {
+					want := refRoute(nw, p.src, p.dst, p.amt)
+					if got := nw.route(p.src, p.dst, p.amt); !slices.Equal(got, want) {
+						t.Fatalf("capital %v hub=%v seed %d payment %d (%d->%d, %.2f): route %v, reference %v",
+							capital, hub, seed, i, p.src, p.dst, p.amt, got, want)
+					}
+					if nw.Pay(p.src, p.dst, p.amt) {
+						routed++
+					} else {
+						failed++
+					}
+				}
+				if routed == 0 {
+					t.Fatalf("capital %v hub=%v seed %d: no payment routed", capital, hub, seed)
+				}
+				t.Logf("capital %v hub=%v seed %d: %d routed, %d failed", capital, hub, seed, routed, failed)
+			}
+		}
+	}
+}
+
+// TestPayAllocatesNothing pins the router's scratch reuse: with no
+// transport attached, a payment allocates nothing once the network exists.
+func TestPayAllocatesNothing(t *testing.T) {
+	for _, hub := range []bool{true, false} {
+		g := sim.NewRNG(4)
+		nw := e18Network(t, g, hub, e18Capital)
+		pays := e18Payments(g, 512)
+		i := 0
+		avg := testing.AllocsPerRun(len(pays)-1, func() {
+			p := pays[i]
+			nw.Pay(p.src, p.dst, p.amt)
+			i++
+		})
+		if avg != 0 {
+			t.Fatalf("hub=%v: Pay allocates %.2f per call, want 0", hub, avg)
+		}
 	}
 }

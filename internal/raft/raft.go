@@ -83,9 +83,14 @@ type Node struct {
 	role     Role
 	term     int
 	votedFor int
-	log      []entry
-	commit   int // highest committed index (-1 none)
-	applied  int // highest applied index (-1 none)
+	// log is append-only below its length: no slot under len(log) is ever
+	// written in place. sendAppend ships capped views of the leader's log
+	// instead of copies, so an in-flight AppendEntries shares the backing
+	// array; a conflict truncation therefore reallocates (see onAppend)
+	// rather than overwriting entries a queued message still carries.
+	log     []entry
+	commit  int // highest committed index (-1 none)
+	applied int // highest applied index (-1 none)
 
 	votes      map[int]bool
 	nextIndex  []int
@@ -122,6 +127,8 @@ type Cluster struct {
 	rng *sim.RNG
 
 	nodes []*Node
+	// matchScratch is onAppendReply's sort buffer for the commit median.
+	matchScratch []int
 
 	msgs      int64
 	bytes     int64
@@ -370,8 +377,10 @@ func (c *Cluster) sendAppend(leader, peer *Node) {
 	if prevIdx >= 0 && prevIdx < len(leader.log) {
 		prevTerm = leader.log[prevIdx].term
 	}
-	entries := make([]entry, len(leader.log)-next)
-	copy(entries, leader.log[next:])
+	// A capped view, not a copy: the log never changes below its length
+	// (see Node.log), and the cap stops any append through the view from
+	// reaching the leader's later entries.
+	entries := leader.log[next:len(leader.log):len(leader.log)]
 	size := 64 + c.cfg.ReqSize*len(entries)
 	term := leader.term
 	commit := leader.commit
@@ -406,8 +415,9 @@ func (c *Cluster) onAppend(n, leader *Node, term, prevIdx, prevTerm int, entries
 		idx := prevIdx + 1 + i
 		if idx < len(n.log) {
 			if n.log[idx].term != e.term {
-				n.log = n.log[:idx]
-				n.log = append(n.log, e)
+				// The zero-capacity tail forces append to reallocate, so
+				// views of the old suffix in flight stay intact.
+				n.log = append(n.log[:idx:idx], e)
 			}
 		} else {
 			n.log = append(n.log, e)
@@ -442,8 +452,8 @@ func (c *Cluster) onAppendReply(leader, from *Node, term int, ok bool, matched i
 	}
 	// Advance commit index: the largest N replicated on a majority with an
 	// entry from the current term.
-	idxs := make([]int, len(leader.matchIndex))
-	copy(idxs, leader.matchIndex)
+	idxs := append(c.matchScratch[:0], leader.matchIndex...)
+	c.matchScratch = idxs
 	sort.Ints(idxs)
 	majority := idxs[(len(idxs)-1)/2]
 	for n := majority; n > leader.commit; n-- {
@@ -479,13 +489,6 @@ func (c *Cluster) send(from, to *Node, size int, deliver func()) {
 		}
 		deliver()
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // LoadStats summarizes a load run.

@@ -254,3 +254,56 @@ func TestRoleString(t *testing.T) {
 		t.Fatal("zero Role should be unknown")
 	}
 }
+
+// TestInFlightAppendSurvivesTruncation pins the log-immutability invariant
+// that lets sendAppend ship views of the leader's log: an AppendEntries
+// already in flight must deliver the entries as they were when it was
+// sent, even if the sender's log is truncated and overwritten by a newer
+// leader before delivery.
+func TestInFlightAppendSurvivesTruncation(t *testing.T) {
+	s, c := newCluster(t, 3, 9)
+	c.Start()
+	if err := s.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	old := c.Leader()
+	if old == nil || old.LogLen() != 0 {
+		t.Fatal("want an elected leader with an empty log")
+	}
+	var follower, usurper *Node
+	for _, n := range c.Nodes() {
+		switch {
+		case n == old:
+		case follower == nil:
+			follower = n
+		default:
+			usurper = n
+		}
+	}
+	// Three uncommitted entries; the last Submit's AppendEntries to the
+	// follower carries all of them and is still in flight below.
+	term := old.Term()
+	for i := 0; i < 3; i++ {
+		if !c.Submit(Request{ID: i, SubmittedAt: s.Now()}) {
+			t.Fatal("Submit failed with an elected leader")
+		}
+	}
+	// A newer-term leader overwrites the old leader's index 1 with a
+	// conflicting entry before any of those messages is delivered.
+	c.onAppend(old, usurper, term+1, 0, term, []entry{{term: term + 1, req: Request{ID: 99}}}, -1)
+	if old.Role() != Follower || old.log[1].term != term+1 {
+		t.Fatal("setup: the old leader's log was not overwritten")
+	}
+	if err := s.RunFor(200 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if follower.LogLen() != 3 {
+		t.Fatalf("follower log length = %d, want the 3 delivered entries", follower.LogLen())
+	}
+	for i, e := range follower.log {
+		if e.term != term || e.req.ID != i {
+			t.Fatalf("follower entry %d = term %d request %d, want term %d request %d: the in-flight message saw the truncation",
+				i, e.term, e.req.ID, term, i)
+		}
+	}
+}

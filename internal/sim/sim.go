@@ -24,7 +24,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -83,7 +82,7 @@ func (h Handle) Cancel() {
 		return
 	}
 	s := ev.owner
-	heap.Remove(&s.queue, ev.index)
+	s.queue.remove(ev.index)
 	s.releaseEvent(ev)
 }
 
@@ -214,7 +213,7 @@ func (s *Sim) Observer() *obs.Collector { return s.observer }
 func (s *Sim) push(ev *event) {
 	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	if len(s.queue) > s.maxPending {
 		s.maxPending = len(s.queue)
 	}
@@ -400,7 +399,7 @@ func (s *Sim) drain(bound time.Duration, inclusive bool) error {
 		if next.at > bound || (!inclusive && next.at == bound) {
 			break
 		}
-		heap.Pop(&s.queue)
+		s.queue.pop()
 		// Cancel removes events from the heap eagerly, so a popped event
 		// is always live.
 		s.now = next.at
@@ -428,41 +427,102 @@ func (s *Sim) drain(bound time.Duration, inclusive bool) error {
 
 // eventQueue is a binary min-heap ordered by (at, seq); seq breaks ties so
 // that same-instant events fire in scheduling order, keeping runs
-// deterministic.
+// deterministic. The sift steps are container/heap's, typed: no interface
+// dispatch per comparison and no boxing per push or pop. Because (at, seq)
+// is a total order, the pop sequence is fixed by the set of queued events,
+// whatever the heap's internal layout.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
+// push adds ev and restores the heap order.
+//
 //decentlint:hotpath
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
+func (q *eventQueue) push(ev *event) {
 	ev.index = len(*q)
 	*q = append(*q, ev) //decentlint:allow hotpath backing-array growth is amortized; slots recycle through the free list in steady state
+	q.up(ev.index)
+}
+
+// pop removes the earliest event, q[0].
+//
+//decentlint:hotpath
+func (q *eventQueue) pop() {
+	n := len(*q) - 1
+	q.swap(0, n)
+	q.down(0, n)
+	q.dropLast()
+}
+
+// remove deletes the event at heap position i.
+//
+//decentlint:hotpath
+func (q *eventQueue) remove(i int) {
+	n := len(*q) - 1
+	if n != i {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	q.dropLast()
+}
+
+// dropLast truncates the last slot, clearing it so the queue does not pin
+// the recycled event.
+//
+//decentlint:hotpath
+func (q *eventQueue) dropLast() {
+	old := *q
+	n := len(old) - 1
+	old[n].index = -1
+	old[n] = nil
+	*q = old[:n]
 }
 
 //decentlint:hotpath
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+func (q eventQueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the element at i0 toward the leaves within q[:n] and reports
+// whether it moved.
+//
+//decentlint:hotpath
+func (q eventQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
